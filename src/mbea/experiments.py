@@ -104,8 +104,10 @@ def run_ensemble(cfg: ExperimentConfig, with_oracle: bool) -> list[ReportRow]:
                     (c, n, derive_seed(cfg.seed, ci, ni, k), with_oracle, cfg.oracle_budget)
                 )
     if cfg.workers > 1:
+        # instance cost varies tens of times across the grid, so a worker
+        # takes one task at a time; map keeps the results in task order
         with Pool(cfg.workers) as pool:
-            results = pool.map(_run_instance, tasks, chunksize=8)
+            results = pool.map(_run_instance, tasks, chunksize=1)
     else:
         results = [_run_instance(t) for t in tasks]
 

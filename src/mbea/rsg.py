@@ -24,6 +24,7 @@ graph, so no recursion) and never mutates shared state.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from enum import IntEnum
 
@@ -211,11 +212,6 @@ class ReducedSolutionGraph:
 
     def edge_kind(self, u: int, v: int) -> str:
         return "double" if v in self.double_adj[u] else "plain"
-
-    def neg_count(self) -> int:
-        return sum(
-            1 for u in range(self.graph.n) if self.active[u] and self.state[u] == NEG_FROZEN
-        )
 
     def state_counts(self) -> tuple[int, int, int]:
         """(unfrozen, pos_frozen, neg_frozen) over active nodes."""
@@ -601,13 +597,15 @@ class ReducedSolutionGraph:
         Every rule application freezes a node or adds a double edge, so the
         fixed point is reached in finitely many events. A step that only
         froze nodes (additions=False) removed implications and cannot create
-        new propagation conflicts; only the local slack rules need a pass.
+        new propagation conflicts, so the two probes are skipped until the
+        sweep's own slack rule adds a double edge.
         """
         rank = self.ranks.rank
         state, active = self.state, self.active
         adj = self.graph.adjacency
         self._ok_ver += 1
         okp, okn = self._okp, self._okn
+        probe = additions
         if additions:
             seeds = self._affected_unfrozen(touched)
         else:
@@ -643,13 +641,13 @@ class ReducedSolutionGraph:
                 continue
             ver = self._ok_ver
             # a conflict-free closure certifies every literal it assigns
-            if okp[u] != ver and not self._test_and_certify(u, 1, ver):
+            if probe and okp[u] != ver and not self._test_and_certify(u, 1, ver):
                 freeze(u, NEG_FROZEN)
                 continue
             # -1 propagates only through double partners; without any the
             # cone is trivially the node itself
             if dadj[u]:
-                if okn[u] != ver and not self._test_and_certify(u, -1, ver):
+                if probe and okn[u] != ver and not self._test_and_certify(u, -1, ver):
                     freeze(u, POS_FROZEN)
                     continue
                 if any(active[w] for w in dadj[u]):
@@ -663,6 +661,7 @@ class ReducedSolutionGraph:
                 freeze(u, POS_FROZEN)
             else:
                 self.set_double(u, unfrozen_nbrs[0])
+                probe = True
                 self._ok_ver += 1  # new implications invalidate cached passes
                 for x in self._affected_unfrozen({u, unfrozen_nbrs[0]}):
                     heapq.heappush(heap, (rank[x], x))
@@ -733,31 +732,48 @@ class ReducedSolutionGraph:
 
         return assign
 
+    def _assignments(self, order):
+        """Every constraint-satisfying assignment of the nodes in order, depth
+        first: branch on the first unassigned node, +1 before -1.
+
+        Iterative, since the decision depth grows with the component.
+        """
+        val: dict[int, int] = {}
+        assign = self._assign_closure(val)
+        decisions: list[tuple[int, int, list[int]]] = []  # (position, spin, trail)
+        i, v = 0, 1
+        while True:
+            while i < len(order) and order[i] in val:
+                i += 1
+            if i == len(order):
+                yield dict(val)
+            else:
+                trail: list[int] = []
+                if assign(order[i], v, trail):
+                    decisions.append((i, v, trail))
+                    i, v = i + 1, 1
+                    continue
+                for x in trail:
+                    del val[x]
+                if v == 1:
+                    v = -1
+                    continue
+            # backtrack to the latest decision that can still take -1
+            while True:
+                if not decisions:
+                    return
+                i, v, trail = decisions.pop()
+                for x in trail:
+                    del val[x]
+                if v == 1:
+                    v = -1
+                    break
+
     def _component_assignments(self, comp) -> list[dict[int, int]]:
         """All constraint-satisfying assignments of one unfrozen component,
         branching in ascending (rank, id) order."""
         rank = self.ranks.rank
-        order = sorted(comp, key=lambda u: (rank[u], u))
-        val: dict[int, int] = {}
-        sols: list[dict[int, int]] = []
-        assign = self._assign_closure(val)
-
-        def dfs(i: int) -> None:
-            while i < len(order) and order[i] in val:
-                i += 1
-            if i == len(order):
-                sols.append(dict(val))
-                return
-            u = order[i]
-            for v in (1, -1):
-                trail: list[int] = []
-                if assign(u, v, trail):
-                    dfs(i + 1)
-                for x in trail:
-                    del val[x]
-
-        dfs(0)
-        return sols
+        return list(self._assignments(sorted(comp, key=lambda u: (rank[u], u))))
 
     def _residual_pieces(self, nodes: frozenset) -> list[frozenset]:
         """Connected pieces of an unassigned node set over constraint edges."""
@@ -832,24 +848,7 @@ class ReducedSolutionGraph:
 
     def _greedy_assignment(self, comp) -> dict[int, int] | None:
         """First satisfying assignment, ascending id with +1 preferred."""
-        order = sorted(comp)
-        val: dict[int, int] = {}
-        assign = self._assign_closure(val)
-
-        def dfs(i: int) -> bool:
-            while i < len(order) and order[i] in val:
-                i += 1
-            if i == len(order):
-                return True
-            for v in (1, -1):
-                trail: list[int] = []
-                if assign(order[i], v, trail) and dfs(i + 1):
-                    return True
-                for x in trail:
-                    del val[x]
-            return False
-
-        return dict(val) if dfs(0) else None
+        return next(self._assignments(sorted(comp)), None)
 
     def min_component_assignment(self, comp, work_budget: int = 200_000):
         """Deterministic assignment with the component's minimum covered
@@ -986,20 +985,16 @@ class ReducedSolutionGraph:
             comp_sols.append(sols)
 
         assignments: list[Assignment] = []
-
-        def emit(idx: int, spins: list[int]) -> bool:
-            if idx == len(comp_sols):
-                cover = sum(1 for u in range(n) if self.active[u] and spins[u] == -1)
-                assignments.append(Assignment(spin=tuple(spins), cover_size=cover))
-                return bool(cap) and len(assignments) >= cap
-            for sol in comp_sols[idx]:
+        # first component outermost, last varying fastest
+        for combo in itertools.product(*comp_sols):
+            spins = list(base)
+            for sol in combo:
                 for u, v in sol.items():
                     spins[u] = v
-                if emit(idx + 1, spins):
-                    return True
-            return False
-
-        emit(0, base)
+            cover = sum(1 for u in range(n) if self.active[u] and spins[u] == -1)
+            assignments.append(Assignment(spin=tuple(spins), cover_size=cover))
+            if cap and len(assignments) >= cap:
+                break
         truncated = bool(limit) and len(assignments) > limit
         if truncated:
             assignments = assignments[:limit]

@@ -48,6 +48,7 @@ class MbeaResult:
     rsg: ReducedSolutionGraph
     cover_size: int
     case_counts: dict[str, int]
+    spins: tuple[int, ...]  # one minimum-level represented cover, -1 = covered
     trace: list[TraceEntry] | None = None
 
 
@@ -122,7 +123,8 @@ def run_mbea(
     trace: bool = False,
     validate: bool = False,
 ) -> MbeaResult:
-    """Build the reduced solution graph of g and its represented cover size.
+    """Build the reduced solution graph of g, its represented cover size and
+    one cover at that size (each unfrozen component minimised once).
 
     Nodes enter in ascending (rank, id) order. With validate=True the
     structural invariants are checked after every node addition (slow,
@@ -145,34 +147,27 @@ def run_mbea(
             trace_list.append(TraceEntry(i, label, tuple(sorted(rsg.step_touched))))
         if validate:
             rsg.validate(deep=True)
-    cover_size = rsg.neg_count()
-    for comp in rsg.unfrozen_components():
-        sol = rsg.min_component_assignment(comp)
-        if sol is None:
-            raise RsgInvariantError(f"component {comp} has no valid assignment")
-        cover_size += sum(1 for v in sol.values() if v == -1)
-    return MbeaResult(
-        rsg=rsg, cover_size=cover_size, case_counts=case_counts, trace=trace_list
-    )
-
-
-def cover_from_rsg(res: MbeaResult) -> Assignment:
-    """Materialise one minimum-level represented cover, deterministic with
-    +1 preferred per unfrozen component. Always a valid vertex cover of g."""
-    rsg = res.rsg
-    g = rsg.graph
-    spins = [1] * g.n
-    for u in range(g.n):
-        if rsg.active[u] and rsg.state[u] == NEG_FROZEN:
-            spins[u] = -1
+    spins = [-1 if state == NEG_FROZEN else 1 for state in rsg.state]
     for comp in rsg.unfrozen_components():
         sol = rsg.min_component_assignment(comp)
         if sol is None:
             raise RsgInvariantError(f"component {comp} has no valid assignment")
         for u, v in sol.items():
             spins[u] = v
-    for u, v in g.edges:
-        if rsg.active[u] and rsg.active[v] and spins[u] == 1 and spins[v] == 1:
+    return MbeaResult(
+        rsg=rsg,
+        cover_size=spins.count(-1),
+        case_counts=case_counts,
+        spins=tuple(spins),
+        trace=trace_list,
+    )
+
+
+def cover_from_rsg(res: MbeaResult) -> Assignment:
+    """The minimum-level represented cover run_mbea kept, deterministic with
+    +1 preferred per unfrozen component; every edge of g is checked covered."""
+    spins = res.spins
+    for u, v in res.rsg.graph.edges:
+        if spins[u] == 1 and spins[v] == 1:
             raise RsgInvariantError(f"extracted assignment leaves edge ({u},{v}) uncovered")
-    cover = sum(1 for u in range(g.n) if rsg.active[u] and spins[u] == -1)
-    return Assignment(spin=tuple(spins), cover_size=cover)
+    return Assignment(spin=spins, cover_size=res.cover_size)

@@ -71,9 +71,10 @@ def test_csv_layout_and_determinism():
 
 
 def test_worker_count_does_not_change_bytes():
+    # 10 tasks: a multiple of neither worker count, so the shares are uneven
     serial = rows_to_csv(run_coverage(small_cfg(workers=1)))
-    parallel = rows_to_csv(run_coverage(small_cfg(workers=2)))
-    assert serial == parallel
+    for workers in (2, 3):
+        assert rows_to_csv(run_coverage(small_cfg(workers=workers))) == serial
 
 
 def test_json_mirror_matches_rows():

@@ -294,6 +294,21 @@ def test_enumerate_limit_truncates():
     assert not full.truncated and len(full.assignments) == 8
 
 
+def test_enumerate_many_components_does_not_recurse():
+    # one component per 4-cycle: deeper than the default recursion limit
+    cycles = 1500
+    edges = []
+    doubles = []
+    for k in range(cycles):
+        a, b, c, d = range(4 * k, 4 * k + 4)
+        edges += [(a, b), (b, c), (c, d), (a, d)]
+        doubles += [(a, b), (c, d)]
+    rsg = all_unfrozen(Graph(4 * cycles, edges), doubles=doubles)
+    sols = rsg.enumerate_assignments(limit=1)
+    assert sols.truncated and len(sols.assignments) == 1
+    assert sols.assignments[0].cover_size == 2 * cycles
+
+
 # -------------------------------------------------------------------- export
 
 

@@ -117,6 +117,16 @@ def test_dense_instance_smoke():
     assert again.rsg.state == first.rsg.state
 
 
+def test_greedy_fallback_on_large_component_does_not_recurse():
+    # leaves an unfrozen component of 4278 nodes, minimised by the greedy
+    # fallback, whose search is deeper than the default recursion limit
+    g = generate_er(GenConfig(n=20000, mean_degree=2.0, seed=3))
+    res = run_mbea(g)
+    asg = cover_from_rsg(res)
+    assert is_cover(g, asg.covered())
+    assert asg.cover_size == res.cover_size
+
+
 @settings(max_examples=80, deadline=None)
 @given(graphs(max_n=12))
 def test_cover_always_valid_and_never_below_oracle(g):
