@@ -27,10 +27,10 @@ from .oracle import (
     BudgetExceededError,
     enumerate_min_covers,
     exact_min_cover,
-    summarize_space,
 )
 from .rsg import dot_from_json
 from .solver import cover_from_rsg, run_mbea
+from .space import summarize_space
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -8,26 +8,7 @@ hard limits that fail loudly; raise them explicitly for bigger instances.
 from __future__ import annotations
 
 from .graphs import Graph
-from .space import (
-    Assignment,
-    SolutionSet,
-    SpaceDiff,
-    SpaceSummary,
-    diff_spaces,
-    summarize_space,
-)
-
-__all__ = [
-    "BudgetExceededError",
-    "exact_min_cover",
-    "enumerate_min_covers",
-    "summarize_space",
-    "diff_spaces",
-    "SolutionSet",
-    "SpaceSummary",
-    "SpaceDiff",
-    "Assignment",
-]
+from .space import Assignment, SolutionSet
 
 DEFAULT_SIZE_BUDGET = 150
 DEFAULT_ENUM_BUDGET = 30

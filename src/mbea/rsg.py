@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 from enum import IntEnum
 
 from .graphs import Graph
@@ -47,7 +46,18 @@ NEG_FROZEN = int(NodeState.NEG_FROZEN)
 NO_MARK = -1
 
 _STATE_NAMES = {UNFROZEN: "unfrozen", POS_FROZEN: "pos", NEG_FROZEN: "neg"}
-_STATE_FROM_NAME = {v: k for k, v in _STATE_NAMES.items()}
+
+# one node or edge object of the exported RSG JSON, at list depth 2
+_NODE_JSON = (
+    '    {\n      "id": %d,\n      "active": %s,\n      "state": "%s",\n'
+    '      "mark": %s,\n      "rank": %d\n    }'
+)
+_EDGE_JSON = '    {\n      "u": %d,\n      "v": %d,\n      "kind": "%s"\n    }'
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of pre-formatted depth-2 objects, as json.dumps(indent=2) lays it out."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 class RsgInvariantError(Exception):
@@ -59,7 +69,7 @@ class _BranchBudgetOut(Exception):
 
 
 class ReducedSolutionGraph:
-    """Single-owner mutable RSG. Use copy() for read-only snapshots."""
+    """Single-owner mutable RSG."""
 
     def __init__(self, graph: Graph, ranks: RankAssignment | None = None):
         if ranks is None:
@@ -116,18 +126,6 @@ class ReducedSolutionGraph:
         # hand-built states have no change history: let rechecking scan everything
         rsg._recheck_candidates.update(u for u in range(graph.n) if rsg.active[u])
         return rsg
-
-    def copy(self) -> "ReducedSolutionGraph":
-        dup = ReducedSolutionGraph(self.graph, self.ranks)
-        dup.active = list(self.active)
-        dup.state = list(self.state)
-        dup.mark = list(self.mark)
-        dup.double_adj = [list(p) for p in self.double_adj]
-        dup.pos_nbr_count = list(self.pos_nbr_count)
-        dup.step_touched = set(self.step_touched)
-        dup._recheck_candidates = set(self._recheck_candidates)
-        dup._mark_members = {m: set(s) for m, s in self._mark_members.items()}
-        return dup
 
     def _recount_pos_neighbours(self) -> None:
         for u in range(self.graph.n):
@@ -775,76 +773,85 @@ class ReducedSolutionGraph:
         rank = self.ranks.rank
         return list(self._assignments(sorted(comp, key=lambda u: (rank[u], u))))
 
-    def _residual_pieces(self, nodes: frozenset) -> list[frozenset]:
-        """Connected pieces of an unassigned node set over constraint edges."""
-        adj = self.graph.adjacency
+    def _pieces(self, nodes) -> list[tuple[frozenset, int, int, bool]]:
+        """Connected pieces of a node set over graph edges, in ascending
+        order of their smallest node, each as (piece, edge count, branch
+        node, clean), found in one pass.
+
+        The branch node is the highest-degree node (ties to the lowest id),
+        so cycles collapse fast. Clean means no uncovered neighbour and no
+        frozen double partner outside the piece: only inside edges constrain
+        it, as _tree_solve assumes.
+        """
+        adj, dadj = self.graph.adjacency, self.double_adj
+        active, state = self.active, self.state
         left = set(nodes)
         pieces = []
         while left:
             s = min(left)
-            piece = {s}
             left.discard(s)
-            queue = [s]
-            while queue:
-                x = queue.pop()
+            order = [s]
+            edges = 0
+            best_u = best_deg = -1
+            clean = True
+            for x in order:
+                deg = 0
                 for w in adj[x]:
-                    if w in left:
-                        left.discard(w)
-                        piece.add(w)
-                        queue.append(w)
-            pieces.append(frozenset(piece))
+                    if w in nodes:
+                        deg += 1
+                        if w in left:
+                            left.discard(w)
+                            order.append(w)
+                    elif active[w] and state[w] == POS_FROZEN:
+                        clean = False
+                for w in dadj[x]:
+                    if w not in nodes and active[w] and state[w] != UNFROZEN:
+                        clean = False
+                edges += deg
+                if deg > best_deg or (deg == best_deg and x < best_u):
+                    best_deg, best_u = deg, x
+            pieces.append((frozenset(order), edges // 2, best_u, clean))
         return pieces
 
-    def _tree_solve(self, nodes, want_assignment: bool):
-        """Minimum covered count of a tree piece by dynamic programming,
-        +1 preferred on ties; optionally reconstructs the assignment.
+    def _tree_solve(self, nodes: frozenset):
+        """Minimum covered count of a tree piece by dynamic programming, and
+        an assignment at that count, +1 preferred on ties.
 
         Assumes every outside neighbour of the piece is covered (frozen
         negative or already assigned -1), so only inside edges constrain.
         O(size).
         """
-        node_set = set(nodes)
-        adj = self.graph.adjacency
-        dadj = self.double_adj
-        root = min(node_set)
-        parent = {root: None}
+        adj, dadj = self.graph.adjacency, self.double_adj
+        root = min(nodes)
+        parent = {root: root}
         order = [root]
         for x in order:
             for w in adj[x]:
-                if w in node_set and w not in parent:
+                if w in nodes and w not in parent:
                     parent[w] = x
                     order.append(w)
-        children: dict[int, list[int]] = {u: [] for u in node_set}
-        for u in order[1:]:
-            children[parent[u]].append(u)
-        dp_plus: dict[int, int] = {}
-        dp_minus: dict[int, int] = {}
-        for u in reversed(order):
-            plus = 0
-            minus = 1
-            for c in children[u]:
-                plus += dp_minus[c]  # an uncovered node forces all neighbours covered
-                if c in dadj[u]:
-                    minus += dp_plus[c]
-                else:
-                    minus += min(dp_plus[c], dp_minus[c])
-            dp_plus[u] = plus
-            dp_minus[u] = minus
-        count = min(dp_plus[root], dp_minus[root])
-        if not want_assignment:
-            return count, None
-        spins: dict[int, int] = {}
-        spins[root] = 1 if dp_plus[root] <= dp_minus[root] else -1
-        for u in order:
-            su = spins[u]
-            for c in sorted(children[u]):
-                if su == 1:
-                    spins[c] = -1
-                elif c in dadj[u]:
-                    spins[c] = 1
-                else:
-                    spins[c] = 1 if dp_plus[c] <= dp_minus[c] else -1
-        return count, spins
+        plus = dict.fromkeys(order, 0)
+        minus = dict.fromkeys(order, 1)
+        # children before parents: fold each child's minima into its parent
+        for i in range(len(order) - 1, 0, -1):
+            c = order[i]
+            p = parent[c]
+            plus[p] += minus[c]  # an uncovered node forces all neighbours covered
+            if c in dadj[p]:
+                minus[p] += plus[c]
+            else:
+                minus[p] += min(plus[c], minus[c])
+        spins = {root: 1 if plus[root] <= minus[root] else -1}
+        for i in range(1, len(order)):
+            c = order[i]
+            p = parent[c]
+            if spins[p] == 1:
+                spins[c] = -1
+            elif c in dadj[p]:
+                spins[c] = 1
+            else:
+                spins[c] = 1 if plus[c] <= minus[c] else -1
+        return min(plus[root], minus[root]), spins
 
     def _greedy_assignment(self, comp) -> dict[int, int] | None:
         """First satisfying assignment, ascending id with +1 preferred."""
@@ -854,42 +861,27 @@ class ReducedSolutionGraph:
         """Deterministic assignment with the component's minimum covered
         count, +1 preferred on ties.
 
-        Tree pieces go through linear dynamic programming. Cyclic pieces
-        split recursively: assigning a high-degree node and propagating
-        strands independent pieces whose minima add up, memoised per piece.
-        Components whose cycle structure exhausts the work budget (charged
-        per piece node examined) fall back to the first satisfying
-        assignment; minimality is then heuristic, which only happens on
-        large leaf-removal cores.
+        Tree pieces go through linear dynamic programming, a clean tree
+        component in a single pass. Cyclic pieces split recursively:
+        assigning a high-degree node and propagating strands independent
+        pieces whose minima add up, memoised per piece. Components whose
+        cycle structure exhausts the work budget (charged per piece node
+        examined) fall back to the first satisfying assignment; minimality
+        is then heuristic, which only happens on large leaf-removal cores.
         """
         comp_set = frozenset(comp)
-        adj, dadj = self.graph.adjacency, self.double_adj
-        active, state = self.active, self.state
-        memo: dict[frozenset, tuple[int, int, int]] = {}
+        pieces = self._pieces(comp_set)
+        # most sparse-graph components: skip the memo and search closures
+        if len(pieces) == 1:
+            piece, edges, _, clean = pieces[0]
+            if clean and edges == len(piece) - 1:
+                _, spins = self._tree_solve(piece)
+                return {u: spins[u] for u in comp}
+        # a large cycle space cannot finish within the branch budget anyway
+        if sum(p[1] for p in pieces) - len(comp_set) + 1 > 60:
+            return self._greedy_assignment(comp)
+        memo: dict[frozenset, tuple] = {}
         budget = [work_budget]
-
-        def piece_shape(piece: frozenset):
-            """(edge count, branch node, clean) for a piece; the branch node
-            is the highest-degree node (ties to the lowest id) so cycles
-            collapse fast."""
-            edges = 0
-            best_u = -1
-            best_deg = -1
-            clean = True
-            for u in piece:
-                deg = 0
-                for w in adj[u]:
-                    if w in piece:
-                        deg += 1
-                    elif active[w] and state[w] == POS_FROZEN:
-                        clean = False
-                for w in dadj[u]:
-                    if active[w] and w not in piece and state[w] != UNFROZEN:
-                        clean = False
-                edges += deg
-                if deg > best_deg or (deg == best_deg and u < best_u):
-                    best_deg, best_u = deg, u
-            return edges // 2, best_u, clean
 
         def branch(piece: frozenset, u: int, v: int):
             val: dict[int, int] = {}
@@ -898,21 +890,18 @@ class ReducedSolutionGraph:
             if not assign(u, v, trail):
                 return None, None
             cnt = sum(1 for x in trail if x in piece and val[x] == -1)
-            rest = [x for x in piece if x not in val]
-            return cnt, self._residual_pieces(frozenset(rest))
+            return cnt, self._pieces({x for x in piece if x not in val})
 
-        TREE = 0  # sentinel spin marking a tree-solved piece
+        TREE = 0  # sentinel spin marking a tree-solved piece, its spins kept
 
-        def min_count(piece: frozenset) -> int:
-            if not piece:
-                return 0
+        def min_count(shaped) -> int:
+            piece, edges, branch_node, clean = shaped
             got = memo.get(piece)
             if got is not None:
                 return got[0]
-            edges, branch_node, clean = piece_shape(piece)
             if clean and edges == len(piece) - 1:
-                count, _ = self._tree_solve(piece, want_assignment=False)
-                memo[piece] = (count, TREE, -1)
+                count, spins = self._tree_solve(piece)
+                memo[piece] = (count, TREE, spins)
                 return count
             budget[0] -= len(piece)
             if budget[0] < 0:
@@ -932,11 +921,6 @@ class ReducedSolutionGraph:
             memo[piece] = (best, best_spin, branch_node)
             return best
 
-        # a large cycle space cannot finish within the branch budget anyway
-        comp_edges = sum(1 for u in comp for w in adj[u] if w in comp_set) // 2
-        if comp_edges - len(comp_set) + 1 > 60:
-            return self._greedy_assignment(comp)
-        pieces = self._residual_pieces(comp_set)
         try:
             for p in pieces:
                 min_count(p)
@@ -944,21 +928,18 @@ class ReducedSolutionGraph:
             return self._greedy_assignment(comp)
         gval: dict[int, int] = {}
         assign = self._assign_closure(gval)
-        stack = list(pieces)
+        stack = [p[0] for p in pieces]
         while stack:
             piece = stack.pop()
-            if not piece:
-                continue
-            _, spin, branch_node = memo[piece]
+            _, spin, step = memo[piece]  # step: branch node, or a tree's spins
             if spin == TREE:
-                _, spins = self._tree_solve(piece, want_assignment=True)
-                gval.update(spins)
+                gval.update(step)
                 continue
             trail: list[int] = []
-            if not assign(branch_node, spin, trail):
+            if not assign(step, spin, trail):
                 return None
-            rest = [x for x in piece if x not in gval]
-            stack.extend(self._residual_pieces(frozenset(rest)))
+            rest = {x for x in piece if x not in gval}
+            stack.extend(p[0] for p in self._pieces(rest))
         return {u: gval[u] for u in comp}
 
     def enumerate_assignments(self, limit: int = 0) -> SolutionSet:
@@ -1027,7 +1008,33 @@ class ReducedSolutionGraph:
         return {"n": self.graph.n, "nodes": nodes, "edges": edges}
 
     def export_json(self) -> str:
-        return json.dumps(self.to_json_doc(), indent=2) + "\n"
+        """to_json_doc() laid out as json.dumps(doc, indent=2) plus a newline.
+
+        Written directly: with indent set, the json module falls back to its
+        pure-Python encoder, which took most of the export time at n=20000.
+        """
+        active, state, mark = self.active, self.state, self.mark
+        rank, dadj = self.ranks.rank, self.double_adj
+        nodes = [
+            _NODE_JSON
+            % (
+                u,
+                "true" if active[u] else "false",
+                _STATE_NAMES[state[u]],
+                "null" if mark[u] == NO_MARK else mark[u],
+                rank[u],
+            )
+            for u in range(self.graph.n)
+        ]
+        edges = [
+            _EDGE_JSON % (u, v, "double" if v in dadj[u] else "plain")
+            for u, v in self.graph.edges
+        ]
+        return '{\n  "n": %d,\n  "nodes": %s,\n  "edges": %s\n}\n' % (
+            self.graph.n,
+            _json_list(nodes),
+            _json_list(edges),
+        )
 
     def export_dot(self) -> str:
         return dot_from_json(self.to_json_doc())

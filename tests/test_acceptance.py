@@ -7,6 +7,8 @@ criteria use two workers; results are worker-count independent.
 import random
 import time
 
+import pytest
+
 from mbea.experiments import (
     ExperimentConfig,
     fit_loglog_slope,
@@ -52,6 +54,33 @@ def test_criterion_1_core_free_exactness():
     elapsed = time.perf_counter() - started
     assert elapsed < 120, f"criterion 1 took {elapsed:.0f}s, expected under 2 minutes"
     _report(1, "core-free exactness, 200 instances", started)
+
+
+# Core-free instances on which criterion 1 fails: the represented space
+# lacks 2 of the 21 (seed 3731) and 2 of the 118 (seed 1237) minimum covers.
+# The seeds lie beyond the 200 that criterion 1 checks.
+CRITERION_1_FAULT_SEEDS = (3731, 1237)
+
+
+def _core_free_spaces(seed):
+    g = generate_er(GenConfig(n=24, mean_degree=2.0, seed=seed))
+    ranks = leaf_removal_ranks(g)
+    assert ranks.core_empty
+    mine = run_mbea(g, ranks).rsg.enumerate_assignments()
+    return mine, enumerate_min_covers(g, budget=24)
+
+
+@pytest.mark.parametrize("seed", CRITERION_1_FAULT_SEEDS)
+def test_criterion_1_fault_instances_represent_only_minimum_covers(seed):
+    mine, true = _core_free_spaces(seed)
+    assert diff_spaces(mine, true).subset
+
+
+@pytest.mark.xfail(strict=True, reason="known criterion-1 fault: two minimum covers missing")
+@pytest.mark.parametrize("seed", CRITERION_1_FAULT_SEEDS)
+def test_criterion_1_fault_instances_exact(seed):
+    mine, true = _core_free_spaces(seed)
+    assert diff_spaces(mine, true).equal
 
 
 def test_criterion_2_error_against_exact():
@@ -102,6 +131,7 @@ def test_criterion_3_golden_structures():
     _report(3, "complete graphs and even cycles", started)
 
 
+@pytest.mark.slow
 def test_criterion_4_backbone_fraction_monotonicity():
     started = time.perf_counter()
     cfg = ExperimentConfig(
@@ -121,6 +151,7 @@ def test_criterion_4_backbone_fraction_monotonicity():
     _report(4, "backbone fraction monotonicity at n=2000", started)
 
 
+@pytest.mark.slow
 def test_criterion_5_runtime_scaling():
     started = time.perf_counter()
     points = []

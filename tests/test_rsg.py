@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 
-from mbea.graphs import Graph, cycle_graph
+from mbea.graphs import GenConfig, Graph, cycle_graph, generate_er
 from mbea.leaf_removal import leaf_removal_ranks
 from mbea.rsg import (
     NEG_FROZEN,
@@ -13,8 +14,9 @@ from mbea.rsg import (
     RsgInvariantError,
     dot_from_json,
 )
+from mbea.solver import run_mbea
 
-from conftest import trees
+from conftest import graphs, trees
 
 
 def all_unfrozen(graph, doubles=()):
@@ -309,6 +311,62 @@ def test_enumerate_many_components_does_not_recurse():
     assert sols.assignments[0].cover_size == 2 * cycles
 
 
+# -------------------------------------------------------------- minimisation
+
+
+def _assert_minimum_assignment(rsg, comp, sol):
+    """sol satisfies every constraint of comp and covers as few nodes as the
+    cheapest of all its satisfying assignments."""
+    assert sol is not None and set(sol) == set(comp)
+
+    def spin(w):
+        if rsg.state[w] == UNFROZEN:
+            return sol[w]
+        return 1 if rsg.state[w] == POS_FROZEN else -1
+
+    for u in comp:
+        for w in rsg.graph.adjacency[u]:
+            if rsg.active[w]:
+                assert not (sol[u] == 1 and spin(w) == 1), f"edge ({u},{w}) uncovered"
+        for w in rsg.double_adj[u]:
+            if rsg.active[w]:
+                assert sol[u] + spin(w) == 0, f"double edge ({u},{w}) not opposite"
+    covered = sum(1 for v in sol.values() if v == -1)
+    floor = min(
+        sum(1 for v in a.values() if v == -1) for a in rsg._component_assignments(comp)
+    )
+    assert covered == floor
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12))
+def test_min_component_assignment_reaches_brute_force_minimum(g):
+    rsg = run_mbea(g).rsg
+    for comp in rsg.unfrozen_components():
+        _assert_minimum_assignment(rsg, comp, rsg.min_component_assignment(comp))
+
+
+def test_pieces_split_and_shape():
+    # inside {0..5}: the triangle 0-1-2 with pendant 3, and the edge 4-5,
+    # whose node 5 borders the uncovered frozen node 6
+    g = Graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (4, 5), (5, 6)])
+    rsg = ReducedSolutionGraph.from_parts(g, states={6: POS_FROZEN}, marks={6: 6})
+    assert rsg._pieces({0, 1, 2, 3, 4, 5}) == [
+        (frozenset({0, 1, 2, 3}), 4, 1, True),  # (piece, edges, branch node, clean)
+        (frozenset({4, 5}), 1, 4, False),
+    ]
+
+
+def test_min_component_assignment_tree_beside_uncovered_node():
+    # the path 1-2-3 is a tree, but its uncovered neighbour 0 forces 1
+    # covered, so it is not clean and goes through the branching search
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    rsg = ReducedSolutionGraph.from_parts(g, states={0: POS_FROZEN}, marks={0: 0})
+    sol = rsg.min_component_assignment([1, 2, 3])
+    _assert_minimum_assignment(rsg, [1, 2, 3], sol)
+    assert sol == {1: -1, 2: 1, 3: -1}
+
+
 # -------------------------------------------------------------------- export
 
 
@@ -327,6 +385,32 @@ def test_export_empty():
     rsg = ReducedSolutionGraph.from_parts(Graph(0, []), active=set())
     doc = rsg.to_json_doc()
     assert doc == {"n": 0, "nodes": [], "edges": []}
+
+
+def _three_state_rsg():
+    # node 0 uncovered, 1 covered (both marked), 2=3 a double edge, 4 inactive
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    return ReducedSolutionGraph.from_parts(
+        g,
+        states={0: POS_FROZEN, 1: NEG_FROZEN},
+        marks={0: 0, 1: 0},
+        doubles=[(2, 3)],
+        active={0, 1, 2, 3},
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ReducedSolutionGraph.from_parts(Graph(0, []), active=set()),
+        _three_state_rsg,
+        lambda: run_mbea(generate_er(GenConfig(2000, 4.0, 7))).rsg,
+    ],
+    ids=["empty", "three-states", "solved-er-2000"],
+)
+def test_export_json_bytes_match_json_dumps(build):
+    rsg = build()
+    assert rsg.export_json() == json.dumps(rsg.to_json_doc(), indent=2) + "\n"
 
 
 def test_export_dot_styles():
@@ -382,11 +466,3 @@ def test_validator_rejects_stale_counts():
     rsg.pos_nbr_count[1] = 5
     with pytest.raises(RsgInvariantError):
         rsg.validate()
-
-
-def test_copy_is_independent():
-    g = cycle_graph(4)
-    rsg = all_unfrozen(g, doubles=[(0, 1), (2, 3)])
-    dup = rsg.copy()
-    dup.freeze_neg(0, 0)
-    assert rsg.state[0] == UNFROZEN

@@ -117,6 +117,7 @@ def test_dense_instance_smoke():
     assert again.rsg.state == first.rsg.state
 
 
+@pytest.mark.slow
 def test_greedy_fallback_on_large_component_does_not_recurse():
     # leaves an unfrozen component of 4278 nodes, minimised by the greedy
     # fallback, whose search is deeper than the default recursion limit
