@@ -145,7 +145,13 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_export(args) -> int:
     doc = json.loads(args.path.read_text())
-    _write(dot_from_json(doc), args.out)
+    try:
+        dot = dot_from_json(doc)
+    except (KeyError, TypeError) as exc:  # valid JSON, but not an RSG document
+        print(f"mbea: {args.path}: not an RSG document ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
+        return EXIT_IO
+    _write(dot, args.out)
     return EXIT_OK
 
 

@@ -17,14 +17,16 @@ nodes still pinned by a foreign uncovered neighbour (the checking rule).
 Spin propagation implements the two rules as implications:
   x = +1  =>  every active neighbour of x is -1
   x = -1  =>  every double partner of x is +1
-Propagation runs iteratively on scratch arrays (cascades can reach the whole
-graph, so no recursion) and never mutates shared state.
+One kernel, _close, propagates them for the case dispatch, the closure sweep
+and the validator. It runs iteratively on scratch arrays (cascades can reach
+the whole graph, so no recursion) and never changes the represented space.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import insort
 from enum import IntEnum
 
 from .graphs import Graph
@@ -83,18 +85,22 @@ class ReducedSolutionGraph:
         self.state = [UNFROZEN] * n
         self.mark = [NO_MARK] * n
         self.double_adj: list[list[int]] = [[] for _ in range(n)]
+        # active neighbours of each active node, in adjacency (ascending) order
+        self.active_adj: list[list[int]] = [[] for _ in range(n)]
         self.pos_nbr_count = [0] * n
         self.step_touched: set[int] = set()
         self._recheck_candidates: set[int] = set()
         self._mark_members: dict[int, set[int]] = {}
-        # versioned scratch for propagation; bumping the tag resets in O(1)
+        # versioned scratch, reset in O(1) by bumping the tag: _close stores
+        # +tag / -tag for a node it sets to +1 / -1, _affected_unfrozen
+        # tags the +x and -x literals it reaches in _ptag and _ntag
         self._ptag = [0] * n
-        self._pval = [0] * n
+        self._ntag = [0] * n
         self._tag = 0
-        # versioned "spin passes propagation" cache for the closure sweep
-        self._okp = [0] * n
-        self._okn = [0] * n
-        self._ok_ver = 0
+        # probe passes of the closure sweep: +u / -u propagates without
+        # conflict; kept across sweeps until _affected_unfrozen clears them
+        self._okp = [False] * n
+        self._okn = [False] * n
 
     # ------------------------------------------------------------------ setup
 
@@ -113,6 +119,8 @@ class ReducedSolutionGraph:
         act = range(graph.n) if active is None else sorted(active)
         for u in act:
             rsg.active[u] = True
+        for u in act:
+            rsg.active_adj[u] = [w for w in graph.adjacency[u] if rsg.active[w]]
         for u, st in (states or {}).items():
             rsg.state[u] = int(st)
         for u, m in (marks or {}).items():
@@ -128,11 +136,10 @@ class ReducedSolutionGraph:
         return rsg
 
     def _recount_pos_neighbours(self) -> None:
+        state = self.state
         for u in range(self.graph.n):
             self.pos_nbr_count[u] = sum(
-                1
-                for w in self.graph.adjacency[u]
-                if self.active[w] and self.state[w] == POS_FROZEN
+                1 for w in self.active_adj[u] if state[w] == POS_FROZEN
             )
 
     # ------------------------------------------------------- state transitions
@@ -144,14 +151,15 @@ class ReducedSolutionGraph:
         """Bring node i into the active subgraph, unfrozen and unmarked."""
         if self.active[i]:
             raise ValueError(f"node {i} already active")
-        self.active[i] = True
+        active, aadj = self.active, self.active_adj
+        nbrs = [w for w in self.graph.adjacency[i] if active[w]]
+        for w in nbrs:
+            insort(aadj[w], i)
+        aadj[i] = nbrs
+        active[i] = True
         self.state[i] = UNFROZEN
         self.mark[i] = NO_MARK
-        self.pos_nbr_count[i] = sum(
-            1
-            for w in self.graph.adjacency[i]
-            if self.active[w] and self.state[w] == POS_FROZEN
-        )
+        self.pos_nbr_count[i] = sum(1 for w in nbrs if self.state[w] == POS_FROZEN)
         self.step_touched.add(i)
 
     def _set_state(self, u: int, new_state: int, new_mark: int) -> None:
@@ -162,18 +170,16 @@ class ReducedSolutionGraph:
         # rechecking candidate (eligibility can only switch on here)
         if old != new_state and POS_FROZEN in (old, new_state):
             delta = 1 if new_state == POS_FROZEN else -1
-            active = self.active
             cnt = self.pos_nbr_count
-            for w in self.graph.adjacency[u]:
-                if active[w]:
-                    cnt[w] += delta
-                    if (
-                        cnt[w] == 1
-                        and state[w] == NEG_FROZEN
-                        and mark[w] != NO_MARK
-                        and mark[w] != w
-                    ):
-                        self._recheck_candidates.add(w)
+            for w in self.active_adj[u]:
+                cnt[w] += delta
+                if (
+                    cnt[w] == 1
+                    and state[w] == NEG_FROZEN
+                    and mark[w] != NO_MARK
+                    and mark[w] != w
+                ):
+                    self._recheck_candidates.add(w)
         old_mark = mark[u]
         if old_mark != NO_MARK:
             self._mark_members[old_mark].discard(u)
@@ -221,64 +227,67 @@ class ReducedSolutionGraph:
 
     # ------------------------------------------------------------- propagation
 
-    def _propagate(self, seeds, rng=None) -> bool:
-        """Close seed spins under the two rules; True iff conflict-free.
+    def _close(self, seeds, rng=None, virt=(), certify=False) -> bool:
+        """Close seed (node, spin) pairs under the two rules; True iff
+        conflict-free.
 
-        Scratch-only: shared state is never mutated. With rng set, the
-        worklist pops in random order (propagation is confluent, so the
-        answer must not depend on it).
+        Frozen nodes end the walk: an uncovered neighbour of a +1 node or a
+        covered double partner of a -1 node is a conflict. Nodes in virt
+        count as unfrozen whatever their state (would_refreeze's release
+        overlay). With certify set, a conflict-free closure records every
+        literal it assigned as a probe pass of the closure sweep. With rng
+        set, the worklist pops in random order (propagation is confluent, so
+        the answer must not depend on it). The represented space is never
+        changed.
         """
         self._tag += 1
         tag = self._tag
-        ptag, pval = self._ptag, self._pval
-        state, active = self.state, self.active
-        adj, dadj = self.graph.adjacency, self.double_adj
-        work: list[int] = []
+        ntag = -tag
+        seen = self._ptag
+        state, aadj, dadj = self.state, self.active_adj, self.double_adj
+        work: list[int] = []  # literals: x for x = +1, ~x for x = -1
         for x, val in seeds:
-            if ptag[x] == tag:
-                if pval[x] != val:
+            t = tag if val == 1 else ntag
+            if seen[x] != t:
+                if seen[x] == -t:
                     return False
-                continue
-            ptag[x] = tag
-            pval[x] = val
-            work.append(x)
-        head = 0
-        while head < len(work):
-            if rng is not None and len(work) - head > 1:
+                seen[x] = t
+                work.append(x if val == 1 else ~x)
+        # the list grows while it is walked: a breadth-first worklist
+        for head, lit in enumerate(work):
+            if rng is not None:
                 j = rng.randrange(head, len(work))
-                work[j], work[head] = work[head], work[j]
-            x = work[head]
-            head += 1
-            if pval[x] == 1:
-                for w in adj[x]:
-                    if not active[w]:
-                        continue
+                work[j], work[head] = lit, work[j]
+                lit = work[head]
+            if lit >= 0:
+                for w in aadj[lit]:
                     st = state[w]
-                    if st == UNFROZEN:
-                        if ptag[w] == tag:
-                            if pval[w] != -1:
-                                return False
-                        else:
-                            ptag[w] = tag
-                            pval[w] = -1
-                            work.append(w)
-                    elif st == POS_FROZEN:
-                        return False
+                    if st != UNFROZEN and w not in virt:
+                        if st == POS_FROZEN:
+                            return False
+                    elif (t := seen[w]) != ntag:
+                        if t == tag:
+                            return False
+                        seen[w] = ntag
+                        work.append(~w)
             else:
-                for w in dadj[x]:
-                    if not active[w]:
-                        continue
+                for w in dadj[~lit]:
                     st = state[w]
-                    if st == UNFROZEN:
-                        if ptag[w] == tag:
-                            if pval[w] != 1:
-                                return False
-                        else:
-                            ptag[w] = tag
-                            pval[w] = 1
-                            work.append(w)
-                    elif st == NEG_FROZEN:
-                        return False
+                    if st != UNFROZEN and w not in virt:
+                        if st == NEG_FROZEN:
+                            return False
+                    elif (t := seen[w]) != tag:
+                        if t == ntag:
+                            return False
+                        seen[w] = tag
+                        work.append(w)
+        if certify:
+            okp, okn = self._okp, self._okn
+            for lit in work:
+                if lit >= 0:
+                    okp[lit] = True
+                else:
+                    okn[~lit] = True
         return True
 
     def compatible_minus_one(self, targets, rng=None) -> bool:
@@ -287,60 +296,7 @@ class ReducedSolutionGraph:
         for t in targets:
             if not self.active[t] or self.state[t] != UNFROZEN:
                 raise ValueError(f"target {t} must be active and unfrozen")
-        return self._propagate([(t, -1) for t in targets], rng=rng)
-
-    def _test_and_certify(self, u: int, spin: int, ver: int) -> bool:
-        """Propagate u=spin; on success mark every assigned literal as
-        passing for cache version ver. Inlined hot path of the closure sweep."""
-        self._tag += 1
-        tag = self._tag
-        ptag, pval = self._ptag, self._pval
-        state, active = self.state, self.active
-        adj, dadj = self.graph.adjacency, self.double_adj
-        okp, okn = self._okp, self._okn
-        work = [u]
-        ptag[u] = tag
-        pval[u] = spin
-        head = 0
-        while head < len(work):
-            x = work[head]
-            head += 1
-            if pval[x] == 1:
-                for w in adj[x]:
-                    if not active[w]:
-                        continue
-                    st = state[w]
-                    if st == UNFROZEN:
-                        if ptag[w] == tag:
-                            if pval[w] != -1:
-                                return False
-                        else:
-                            ptag[w] = tag
-                            pval[w] = -1
-                            work.append(w)
-                    elif st == POS_FROZEN:
-                        return False
-            else:
-                for w in dadj[x]:
-                    if not active[w]:
-                        continue
-                    st = state[w]
-                    if st == UNFROZEN:
-                        if ptag[w] == tag:
-                            if pval[w] != 1:
-                                return False
-                        else:
-                            ptag[w] = tag
-                            pval[w] = 1
-                            work.append(w)
-                    elif st == NEG_FROZEN:
-                        return False
-        for x in work:
-            if pval[x] == 1:
-                okp[x] = ver
-            else:
-                okn[x] = ver
-        return True
+        return self._close([(t, -1) for t in targets], rng=rng)
 
     # ------------------------------------------------------- freeze and release
 
@@ -353,29 +309,26 @@ class ReducedSolutionGraph:
         """
         if self.state[i] == UNFROZEN or self.mark[i] == NO_MARK:
             raise ValueError(f"node {i} must be frozen and marked before freezing()")
-        state, active = self.state, self.active
+        state = self.state
         work = [i]
         while work:
             x = work.pop()
             m = self.mark[x]
             if state[x] == POS_FROZEN:
-                for w in self.graph.adjacency[x]:
-                    if active[w] and state[w] == UNFROZEN:
+                for w in self.active_adj[x]:
+                    if state[w] == UNFROZEN:
                         self._set_state(w, NEG_FROZEN, m)
                         work.append(w)
             else:
                 for w in self.double_adj[x]:
-                    if active[w] and state[w] == UNFROZEN:
+                    if state[w] == UNFROZEN:
                         self._set_state(w, POS_FROZEN, m)
                         work.append(w)
 
     def has_foreign_pos_neighbour(self, j: int, root_mark: int) -> bool:
-        for k in self.graph.adjacency[j]:
-            if (
-                self.active[k]
-                and self.state[k] == POS_FROZEN
-                and self.mark[k] != root_mark
-            ):
+        state, mark = self.state, self.mark
+        for k in self.active_adj[j]:
+            if state[k] == POS_FROZEN and mark[k] != root_mark:
                 return True
         return False
 
@@ -389,66 +342,19 @@ class ReducedSolutionGraph:
         incompatible structure, freezing any one node keeps the represented
         cover size, and the new node is the convenient choice.
         """
-        state, active, mark = self.state, self.active, self.mark
-        adj, dadj = self.graph.adjacency, self.double_adj
-        virt: set[int] = set()
+        state, mark, aadj = self.state, self.mark, self.active_adj
+        virt = set(entries)
         stack = list(entries)
-        virt.update(stack)
         while stack:
             x = stack.pop()
-            for j in adj[x]:
-                if (
-                    j in virt
-                    or not active[j]
-                    or state[j] == UNFROZEN
-                    or mark[j] != root_mark
-                ):
+            for j in aadj[x]:
+                if j in virt or state[j] == UNFROZEN or mark[j] != root_mark:
                     continue
                 if state[j] == NEG_FROZEN and self.has_foreign_pos_neighbour(j, root_mark):
                     continue
                 virt.add(j)
                 stack.append(j)
-        self._tag += 1
-        tag = self._tag
-        ptag, pval = self._ptag, self._pval
-        ptag[i] = tag
-        pval[i] = 1
-        work = [i]
-        head = 0
-        while head < len(work):
-            x = work[head]
-            head += 1
-            if pval[x] == 1:
-                for w in adj[x]:
-                    if not active[w]:
-                        continue
-                    if state[w] != UNFROZEN and w not in virt:
-                        if state[w] == POS_FROZEN:
-                            return True
-                        continue
-                    if ptag[w] == tag:
-                        if pval[w] != -1:
-                            return True
-                    else:
-                        ptag[w] = tag
-                        pval[w] = -1
-                        work.append(w)
-            else:
-                for w in dadj[x]:
-                    if not active[w]:
-                        continue
-                    if state[w] != UNFROZEN and w not in virt:
-                        if state[w] == NEG_FROZEN:
-                            return True
-                        continue
-                    if ptag[w] == tag:
-                        if pval[w] != 1:
-                            return True
-                    else:
-                        ptag[w] = tag
-                        pval[w] = 1
-                        work.append(w)
-        return False
+        return not self._close(((i, 1),), virt=virt)
 
     def releasing(self, i: int, root_mark: int) -> None:
         """Undo the cascade carrying root_mark, starting from i.
@@ -459,14 +365,14 @@ class ReducedSolutionGraph:
         """
         if not self.active[i]:
             raise ValueError(f"node {i} is not active")
-        state, mark, active = self.state, self.mark, self.active
+        state, mark = self.state, self.mark
         if state[i] != UNFROZEN:
             self.release_one(i)
         work = [i]
         while work:
             x = work.pop()
-            for j in self.graph.adjacency[x]:
-                if not active[j] or state[j] == UNFROZEN or mark[j] != root_mark:
+            for j in self.active_adj[x]:
+                if state[j] == UNFROZEN or mark[j] != root_mark:
                     continue
                 if state[j] == NEG_FROZEN and self.has_foreign_pos_neighbour(j, root_mark):
                     continue
@@ -500,11 +406,7 @@ class ReducedSolutionGraph:
                 continue  # self-rooted backbones are not cascade members
             if self.pos_nbr_count[u] != 1:
                 continue
-            v = next(
-                w
-                for w in self.graph.adjacency[u]
-                if self.active[w] and self.state[w] == POS_FROZEN
-            )
+            v = next(w for w in self.active_adj[u] if self.state[w] == POS_FROZEN)
             if self.mark[v] != m:
                 continue
             self.release_one(u)
@@ -525,55 +427,60 @@ class ReducedSolutionGraph:
     # --------------------------------------------------------- odd-cycle break
 
     def _affected_unfrozen(self, touched) -> set[int]:
-        """Unfrozen nodes whose propagation cone may include a change.
+        """Unfrozen nodes whose propagation cone may include a change; the
+        probe passes of every literal on the way are cleared.
 
         Reverse-closes the implication digraph from the literals whose
-        outgoing implications changed this step. Nodes outside the closure
-        replay their previous (consistent) propagation unchanged.
+        outgoing implications changed: both literals of each touched node
+        (its -1 literal reaches the +1 literal of each unfrozen neighbour,
+        whose implication into the node changed too). Literals outside the
+        closure replay their previous (consistent) propagation unchanged and
+        keep their passes.
+
+        This is the only place passes are cleared, which is sound because:
+
+        * freezing never adds an implication, and it cannot make a
+          still-unfrozen literal's closure fail. The implication digraph is
+          skew-symmetric: the cascade that freezes x follows the
+          contrapositive of any cone through x, so it freezes that cone's
+          root too;
+        * every added implication reaches this method, which clears the
+          passes of every literal that reaches it. Implications are added by
+          an activation, a release or a new double edge, and arrive through
+          step_touched (the sweep that ends a case A or E step) or through
+          the slack rule's own call in break_odd_cycles. Cases B, C and D
+          activate their node frozen and add none.
         """
         active, state = self.active, self.state
-        adj, dadj = self.graph.adjacency, self.double_adj
-        # version-tagged membership, reusing the propagation scratch arrays
+        aadj, dadj = self.active_adj, self.double_adj
+        okp, okn = self._okp, self._okn
         self._tag += 1
-        ptag, pval = self._ptag, self._pval  # pval bits: 1 = +lit, 2 = -lit
         tag = self._tag
-        work: list[int] = []  # encodes (node, sign) as 2x + (sign < 0)
-        seen: list[int] = []
-
-        def touch(w: int, bit: int) -> bool:
-            if ptag[w] != tag:
-                ptag[w] = tag
-                pval[w] = 0
-                seen.append(w)
-            if pval[w] & bit:
-                return False
-            pval[w] |= bit
-            return True
-
-        for x in touched:
-            if not active[x]:
-                continue
-            if touch(x, 1):
-                work.append(2 * x)
-            if touch(x, 2):
-                work.append(2 * x + 1)
-            for w in adj[x]:
-                if active[w] and state[w] == UNFROZEN and touch(w, 1):
-                    work.append(2 * w)
-        while work:
-            code = work.pop()
-            x = code >> 1
-            if code & 1:
+        ptag, ntag = self._ptag, self._ntag
+        pos = [x for x in touched if active[x]]  # +x literals still to expand
+        neg = list(pos)  # -x literals still to expand
+        affected = set(pos)
+        for x in pos:
+            ptag[x] = ntag[x] = tag
+            okp[x] = okn[x] = False
+        while pos or neg:
+            if neg:
                 # -x is implied by +u for every neighbour u
-                for w in adj[x]:
-                    if active[w] and state[w] == UNFROZEN and touch(w, 1):
-                        work.append(2 * w)
+                for w in aadj[neg.pop()]:
+                    if ptag[w] != tag and state[w] == UNFROZEN:
+                        ptag[w] = tag
+                        okp[w] = False
+                        pos.append(w)
+                        affected.add(w)
             else:
                 # +x is implied by -p for every double partner p
-                for w in dadj[x]:
-                    if active[w] and state[w] == UNFROZEN and touch(w, 2):
-                        work.append(2 * w + 1)
-        return {u for u in seen if active[u] and state[u] == UNFROZEN}
+                for w in dadj[pos.pop()]:
+                    if ntag[w] != tag and state[w] == UNFROZEN:
+                        ntag[w] = tag
+                        okn[w] = False
+                        neg.append(w)
+                        affected.add(w)
+        return {u for u in affected if state[u] == UNFROZEN}
 
     def break_odd_cycles(self, touched, additions: bool = True) -> None:
         """Freeze implied backbones and restore the single energy level.
@@ -597,11 +504,20 @@ class ReducedSolutionGraph:
         froze nodes (additions=False) removed implications and cannot create
         new propagation conflicts, so the two probes are skipped until the
         sweep's own slack rule adds a double edge.
+
+        A conflict-free probe records every literal it assigned as passing
+        (_okp/_okn), and a passing literal is not probed again, in this sweep
+        or a later one, until _affected_unfrozen clears its pass. That is
+        sound because freezing never adds an implication nor makes a
+        still-unfrozen literal's closure fail (the freezing cascade is the
+        contrapositive of any cone through the frozen node, so it freezes the
+        cone's root too), and every added implication reaches
+        _affected_unfrozen: through `touched` at the start of a sweep after
+        an addition, or through the slack rule's own call below.
         """
         rank = self.ranks.rank
-        state, active = self.state, self.active
-        adj = self.graph.adjacency
-        self._ok_ver += 1
+        n = self.graph.n
+        state, aadj, dadj = self.state, self.active_adj, self.double_adj
         okp, okn = self._okp, self._okn
         probe = additions
         if additions:
@@ -609,17 +525,18 @@ class ReducedSolutionGraph:
         else:
             seeds = set()
             for x in touched:
-                if active[x] and state[x] == UNFROZEN:
+                if self.active[x] and state[x] == UNFROZEN:
                     seeds.add(x)
-                for w in adj[x]:
-                    if active[w] and state[w] == UNFROZEN:
+                for w in aadj[x]:
+                    if state[w] == UNFROZEN:
                         seeds.add(w)
-        heap = [(rank[u], u) for u in seeds]
+        # integer keys rank*n + id pop in ascending (rank, id) order
+        heap = [rank[u] * n + u for u in seeds]
         heapq.heapify(heap)
 
         def freeze(u: int, new_state: int) -> None:
-            # freezing removes implications, so cached passes stay valid;
-            # only the slack conditions of bystanders need a second look
+            # freezing removes implications, so passes stay valid; only the
+            # slack conditions of bystanders need a second look
             outer = self.step_touched
             delta: set[int] = set()
             self.step_touched = delta
@@ -628,31 +545,32 @@ class ReducedSolutionGraph:
             self.step_touched = outer
             outer |= delta
             for x in delta:
-                for w in adj[x]:
-                    if active[w] and state[w] == UNFROZEN:
-                        heapq.heappush(heap, (rank[w], w))
+                for w in aadj[x]:
+                    if state[w] == UNFROZEN:
+                        heapq.heappush(heap, rank[w] * n + w)
 
-        dadj = self.double_adj
+        last = -1
         while heap:
-            _, u = heapq.heappop(heap)
-            if not active[u] or state[u] != UNFROZEN:
+            key = heapq.heappop(heap)
+            # a repeat of the key just handled finds nothing changed
+            if key == last:
                 continue
-            ver = self._ok_ver
-            # a conflict-free closure certifies every literal it assigns
-            if probe and okp[u] != ver and not self._test_and_certify(u, 1, ver):
+            last = key
+            u = key % n
+            if state[u] != UNFROZEN:
+                continue
+            if probe and not okp[u] and not self._close(((u, 1),), certify=True):
                 freeze(u, NEG_FROZEN)
                 continue
-            # -1 propagates only through double partners; without any the
-            # cone is trivially the node itself
+            # -1 propagates only through double partners (all active); without
+            # any the cone is trivially the node itself
             if dadj[u]:
-                if probe and okn[u] != ver and not self._test_and_certify(u, -1, ver):
+                if probe and not okn[u] and not self._close(((u, -1),), certify=True):
                     freeze(u, POS_FROZEN)
-                    continue
-                if any(active[w] for w in dadj[u]):
-                    continue
+                continue
             # frozen neighbours here are all covered (an uncovered one
             # would have failed the +1 test)
-            unfrozen_nbrs = [w for w in adj[u] if active[w] and state[w] == UNFROZEN]
+            unfrozen_nbrs = [w for w in aadj[u] if state[w] == UNFROZEN]
             if len(unfrozen_nbrs) > 1:
                 continue
             if not unfrozen_nbrs:
@@ -660,16 +578,16 @@ class ReducedSolutionGraph:
             else:
                 self.set_double(u, unfrozen_nbrs[0])
                 probe = True
-                self._ok_ver += 1  # new implications invalidate cached passes
+                # u is among the affected nodes and must be handled again
+                last = -1
                 for x in self._affected_unfrozen({u, unfrozen_nbrs[0]}):
-                    heapq.heappush(heap, (rank[x], x))
-                heapq.heappush(heap, (rank[u], u))
+                    heapq.heappush(heap, rank[x] * n + x)
 
     # ------------------------------------------------------------- enumeration
 
     def unfrozen_components(self) -> list[list[int]]:
         """Connected components of active unfrozen nodes (via active edges)."""
-        active, state = self.active, self.state
+        active, state, aadj = self.active, self.state, self.active_adj
         seen = [False] * self.graph.n
         comps = []
         for s in range(self.graph.n):
@@ -680,8 +598,8 @@ class ReducedSolutionGraph:
             queue = [s]
             while queue:
                 x = queue.pop()
-                for w in self.graph.adjacency[x]:
-                    if not seen[w] and active[w] and state[w] == UNFROZEN:
+                for w in aadj[x]:
+                    if not seen[w] and state[w] == UNFROZEN:
                         seen[w] = True
                         comp.append(w)
                         queue.append(w)
@@ -694,8 +612,7 @@ class ReducedSolutionGraph:
         Returns a function assign(x, v, trail) extending val under the two
         rules, recording touched nodes on trail, False on conflict.
         """
-        state, active = self.state, self.active
-        adj, dadj = self.graph.adjacency, self.double_adj
+        state, aadj, dadj = self.state, self.active_adj, self.double_adj
 
         def assign(x: int, v: int, trail: list[int]) -> bool:
             stack = [(x, v)]
@@ -709,9 +626,7 @@ class ReducedSolutionGraph:
                 val[x] = v
                 trail.append(x)
                 if v == 1:
-                    for w in adj[x]:
-                        if not active[w]:
-                            continue
+                    for w in aadj[x]:
                         st = state[w]
                         if st == UNFROZEN:
                             stack.append((w, -1))
@@ -719,8 +634,6 @@ class ReducedSolutionGraph:
                             return False
                 else:
                     for w in dadj[x]:
-                        if not active[w]:
-                            continue
                         st = state[w]
                         if st == UNFROZEN:
                             stack.append((w, 1))
@@ -783,8 +696,7 @@ class ReducedSolutionGraph:
         frozen double partner outside the piece: only inside edges constrain
         it, as _tree_solve assumes.
         """
-        adj, dadj = self.graph.adjacency, self.double_adj
-        active, state = self.active, self.state
+        aadj, dadj, state = self.active_adj, self.double_adj, self.state
         left = set(nodes)
         pieces = []
         while left:
@@ -796,16 +708,16 @@ class ReducedSolutionGraph:
             clean = True
             for x in order:
                 deg = 0
-                for w in adj[x]:
+                for w in aadj[x]:
                     if w in nodes:
                         deg += 1
                         if w in left:
                             left.discard(w)
                             order.append(w)
-                    elif active[w] and state[w] == POS_FROZEN:
+                    elif state[w] == POS_FROZEN:
                         clean = False
                 for w in dadj[x]:
-                    if w not in nodes and active[w] and state[w] != UNFROZEN:
+                    if w not in nodes and state[w] != UNFROZEN:
                         clean = False
                 edges += deg
                 if deg > best_deg or (deg == best_deg and x < best_u):
@@ -1049,7 +961,13 @@ class ReducedSolutionGraph:
         """
         n = self.graph.n
         active, state, mark = self.active, self.state, self.mark
+        adj, aadj = self.graph.adjacency, self.active_adj
         for u in range(n):
+            expect = [w for w in adj[u] if active[w]] if active[u] else []
+            if aadj[u] != expect:
+                raise RsgInvariantError(
+                    f"active-neighbour list of {u} is {aadj[u]}, expected {expect}"
+                )
             if not active[u]:
                 if state[u] != UNFROZEN or mark[u] != NO_MARK:
                     raise RsgInvariantError(f"inactive node {u} carries state or mark")
@@ -1081,11 +999,7 @@ class ReducedSolutionGraph:
         for u in range(n):
             if not active[u]:
                 continue
-            expect = sum(
-                1
-                for w in self.graph.adjacency[u]
-                if active[w] and state[w] == POS_FROZEN
-            )
+            expect = sum(1 for w in aadj[u] if state[w] == POS_FROZEN)
             if self.pos_nbr_count[u] != expect:
                 raise RsgInvariantError(
                     f"stale uncovered-neighbour count at {u}: "
@@ -1095,20 +1009,16 @@ class ReducedSolutionGraph:
             for u in range(n):
                 if not active[u] or state[u] != UNFROZEN:
                     continue
-                if not self._propagate([(u, 1)]):
+                if not self._close(((u, 1),)):
                     raise RsgInvariantError(
                         f"unfrozen node {u} cannot take +1 (missed implied backbone)"
                     )
-                if not self._propagate([(u, -1)]):
+                if not self._close(((u, -1),)):
                     raise RsgInvariantError(
                         f"unfrozen node {u} cannot take -1 (missed implied backbone)"
                     )
-                if not any(active[w] for w in self.double_adj[u]):
-                    free = [
-                        w
-                        for w in self.graph.adjacency[u]
-                        if active[w] and state[w] == UNFROZEN
-                    ]
+                if not self.double_adj[u]:
+                    free = [w for w in aadj[u] if state[w] == UNFROZEN]
                     if len(free) < 2:
                         raise RsgInvariantError(
                             f"unfrozen node {u} carries energy slack (missed closure)"

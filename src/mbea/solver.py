@@ -53,9 +53,9 @@ class MbeaResult:
 
 
 def _dispatch(rsg: ReducedSolutionGraph, i: int) -> str:
-    state, mark, active = rsg.state, rsg.mark, rsg.active
+    state, mark = rsg.state, rsg.mark
     rank = rsg.ranks.rank
-    nbrs = [w for w in rsg.graph.adjacency[i] if active[w]]
+    nbrs = rsg.active_adj[i]
     pos_nbrs = [w for w in nbrs if state[w] == POS_FROZEN]
     unfrozen_nbrs = [w for w in nbrs if state[w] == UNFROZEN]
     num = len(pos_nbrs)

@@ -101,6 +101,29 @@ def test_export_roundtrip(k5_file, tmp_path, capsys):
     assert dot.startswith("graph rsg {") and "--" in dot
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 1},
+        [1, 2],
+        {
+            "n": 1,
+            "nodes": [{"id": 0, "active": True, "state": "bogus", "mark": None, "rank": 1}],
+            "edges": [],
+        },
+    ],
+    ids=["no-nodes", "list", "unknown-state"],
+)
+def test_export_rejects_non_rsg_json(doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["export", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"mbea: {path}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_experiment_csv_and_mirror(tmp_path, capsys):
     out = tmp_path / "cov.csv"
     code = main(

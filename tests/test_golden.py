@@ -1,0 +1,45 @@
+"""One SHA-256 digest over the solver's outputs on a fixed corpus.
+
+The digest covers the cover size, the case counts, the kept cover's spins,
+the per-node trace and the RSG JSON of every graph below. A change that moves
+it changes what `run_mbea` computes on some graph: if that is intended, put
+the new digest in GOLDEN and say in CHANGES.md why the outputs moved.
+"""
+
+import hashlib
+
+from mbea.graphs import GenConfig, cycle_graph, generate_er, path_graph
+from mbea.solver import run_mbea
+
+GOLDEN = "df765bdda904a406a9db8c3d95f7a4025fb3dec3a8e9a751117ad6d9eda8e0ad"
+
+
+def corpus():
+    """About 300 small ER graphs, paths and cycles of 2-39 nodes, and ER
+    n=1000 at c=2, 4 and 6."""
+    for k in range(300):
+        n = 6 + k % 35
+        c = 0.5 + 0.5 * (k % 10)
+        yield f"er {n} {c} {k}", generate_er(GenConfig(n, c, k))
+    for n in range(2, 40):
+        yield f"path {n}", path_graph(n)
+        if n >= 3:
+            yield f"cycle {n}", cycle_graph(n)
+    for c in (2.0, 4.0, 6.0):
+        yield f"er 1000 {c} 5", generate_er(GenConfig(1000, c, 5))
+
+
+def outputs_digest() -> str:
+    h = hashlib.sha256()
+    for label, g in corpus():
+        res = run_mbea(g, trace=True)
+        cases = " ".join(f"{c}:{k}" for c, k in sorted(res.case_counts.items()))
+        h.update(f"{label}\n{res.cover_size}\n{cases}\n{res.spins}\n".encode())
+        for e in res.trace:
+            h.update(f"{e.node} {e.case} {e.affected}\n".encode())
+        h.update(res.rsg.export_json().encode())
+    return h.hexdigest()
+
+
+def test_outputs_match_golden_digest():
+    assert outputs_digest() == GOLDEN

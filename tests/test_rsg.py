@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from mbea.graphs import GenConfig, Graph, cycle_graph, generate_er
+from mbea.graphs import GenConfig, Graph, cycle_graph, generate_er, path_graph
 from mbea.leaf_removal import leaf_removal_ranks
 from mbea.rsg import (
     NEG_FROZEN,
@@ -255,6 +255,36 @@ def test_break_adds_double_for_pendant_pair():
     assert rsg.edge_kind(0, 1) == "double"
 
 
+def _random_graphs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(6, 40)
+        c = rng.uniform(0.5, 5.0)
+        yield generate_er(GenConfig(n, c, rng.randrange(10**6)))
+
+
+def _solved(res):
+    return res.rsg.export_json(), res.case_counts, res.spins, res.trace
+
+
+def test_probe_passes_kept_across_sweeps_match_fresh_probes(monkeypatch):
+    """Passes kept across sweeps decide exactly as probing afresh would."""
+    graphs = list(_random_graphs(240, seed=5))
+    graphs += [path_graph(n) for n in range(2, 40)]
+    graphs += [cycle_graph(n) for n in range(3, 40)]
+    kept = [_solved(run_mbea(g, trace=True, validate=True)) for g in graphs]
+    sweep = ReducedSolutionGraph.break_odd_cycles
+
+    def fresh_sweep(self, touched, additions=True):
+        self._okp[:] = [False] * self.graph.n
+        self._okn[:] = [False] * self.graph.n
+        return sweep(self, touched, additions)
+
+    monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", fresh_sweep)
+    for g, expect in zip(graphs, kept):
+        assert _solved(run_mbea(g, trace=True)) == expect, g
+
+
 # --------------------------------------------------------------- enumeration
 
 
@@ -458,6 +488,25 @@ def test_validator_rejects_double_uncovered_edge():
     )
     with pytest.raises(RsgInvariantError):
         rsg.validate()
+
+
+@pytest.mark.parametrize("node", [0, 2], ids=["active", "inactive"])
+def test_validator_rejects_stale_active_neighbour_list(node):
+    g = Graph(3, [(0, 1), (0, 2)])
+    rsg = ReducedSolutionGraph.from_parts(g, active={0, 1})
+    rsg.validate()
+    rsg.active_adj[node].append(1)
+    with pytest.raises(RsgInvariantError):
+        rsg.validate()
+
+
+def test_activate_keeps_active_neighbour_lists_sorted():
+    g = Graph(4, [(0, 3), (1, 3), (2, 3)])
+    rsg = ReducedSolutionGraph(g)
+    for u in (3, 2, 0, 1):
+        rsg.activate(u)
+        rsg.validate()
+    assert rsg.active_adj[3] == [0, 1, 2]
 
 
 def test_validator_rejects_stale_counts():
