@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"mbea: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"mbea: {args.path}: {exc}" if hasattr(args, "path") else f"mbea: {exc}",
               file=sys.stderr)
         return EXIT_IO

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from multiprocessing import Pool
 
 from .graphs import GenConfig, generate_er
@@ -162,56 +162,16 @@ def run_error_vs_exact(cfg: ExperimentConfig) -> list[ReportRow]:
     return run_ensemble(cfg, with_oracle=True)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(value)
-
-
 def rows_to_csv(rows) -> str:
+    """One line per row, every field but refusal_frac, in field order."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.c,
-                    r.n,
-                    r.instances,
-                    r.x_mean,
-                    r.x_stderr,
-                    r.pos_frac,
-                    r.neg_frac,
-                    r.unfrozen_frac,
-                    r.core_empty_frac,
-                    r.err_mean,
-                    r.err_stderr,
-                )
-            )
-        )
+        lines.append(",".join("" if v is None else repr(v) for v in astuple(r)[:-1]))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows) -> str:
-    docs = []
-    for r in rows:
-        docs.append(
-            {
-                "c": r.c,
-                "n": r.n,
-                "instances": r.instances,
-                "x_mean": r.x_mean,
-                "x_stderr": r.x_stderr,
-                "pos_frac": r.pos_frac,
-                "neg_frac": r.neg_frac,
-                "unfrozen_frac": r.unfrozen_frac,
-                "core_empty_frac": r.core_empty_frac,
-                "err_mean": r.err_mean,
-                "err_stderr": r.err_stderr,
-                "refusal_frac": r.refusal_frac,
-            }
-        )
-    return json.dumps(docs, indent=2) + "\n"
+    return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
 
 
 def median_runtime(n: int, c: float, seeds, repeats: int = 1) -> float:

@@ -17,9 +17,10 @@ nodes still pinned by a foreign uncovered neighbour (the checking rule).
 Spin propagation implements the two rules as implications:
   x = +1  =>  every active neighbour of x is -1
   x = -1  =>  every double partner of x is +1
-One kernel, _close, propagates them for the case dispatch, the closure sweep
-and the validator. It runs iteratively on scratch arrays (cascades can reach
-the whole graph, so no recursion) and never changes the represented space.
+One kernel, _close, propagates them for the case dispatch, the closure sweep,
+the validator and freezing, which freezes what the kernel's worklist reached.
+It runs iteratively on scratch arrays (cascades can reach the whole graph, so
+no recursion) and never changes the represented space itself.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class ReducedSolutionGraph:
         active: set[int] | None = None,
         ranks: RankAssignment | None = None,
     ) -> "ReducedSolutionGraph":
-        """Build an RSG in a given state; mainly for tests and JSON import."""
+        """Build an RSG in a given state, mainly for tests."""
         rsg = cls(graph, ranks)
         act = range(graph.n) if active is None else sorted(active)
         for u in act:
@@ -227,9 +228,9 @@ class ReducedSolutionGraph:
 
     # ------------------------------------------------------------- propagation
 
-    def _close(self, seeds, rng=None, virt=(), certify=False) -> bool:
-        """Close seed (node, spin) pairs under the two rules; True iff
-        conflict-free.
+    def _close(self, seeds, rng=None, virt=(), certify=False) -> list[int] | None:
+        """Close seed (node, spin) pairs under the two rules: the literals
+        assigned, seeds first, or None on a conflict.
 
         Frozen nodes end the walk: an uncovered neighbour of a +1 node or a
         covered double partner of a -1 node is a conflict. Nodes in virt
@@ -250,7 +251,7 @@ class ReducedSolutionGraph:
             t = tag if val == 1 else ntag
             if seen[x] != t:
                 if seen[x] == -t:
-                    return False
+                    return None
                 seen[x] = t
                 work.append(x if val == 1 else ~x)
         # the list grows while it is walked: a breadth-first worklist
@@ -264,10 +265,10 @@ class ReducedSolutionGraph:
                     st = state[w]
                     if st != UNFROZEN and w not in virt:
                         if st == POS_FROZEN:
-                            return False
+                            return None
                     elif (t := seen[w]) != ntag:
                         if t == tag:
-                            return False
+                            return None
                         seen[w] = ntag
                         work.append(~w)
             else:
@@ -275,10 +276,10 @@ class ReducedSolutionGraph:
                     st = state[w]
                     if st != UNFROZEN and w not in virt:
                         if st == NEG_FROZEN:
-                            return False
+                            return None
                     elif (t := seen[w]) != tag:
                         if t == ntag:
-                            return False
+                            return None
                         seen[w] = tag
                         work.append(w)
         if certify:
@@ -288,7 +289,7 @@ class ReducedSolutionGraph:
                     okp[lit] = True
                 else:
                     okn[~lit] = True
-        return True
+        return work
 
     def compatible_minus_one(self, targets, rng=None) -> bool:
         """Can all targets be covered simultaneously in the represented space?"""
@@ -296,34 +297,30 @@ class ReducedSolutionGraph:
         for t in targets:
             if not self.active[t] or self.state[t] != UNFROZEN:
                 raise ValueError(f"target {t} must be active and unfrozen")
-        return self._close([(t, -1) for t in targets], rng=rng)
+        return self._close([(t, -1) for t in targets], rng=rng) is not None
 
     # ------------------------------------------------------- freeze and release
 
-    def freezing(self, i: int) -> None:
-        """Cascade the frozen influence of i outward.
+    def freezing(self, i: int) -> list[int]:
+        """Cascade the frozen influence of i outward; the nodes frozen, i first.
 
         An uncovered node forces all unfrozen neighbours covered; a covered
-        node forces its unfrozen double partners uncovered. Every step freezes
-        a node, so the cascade terminates.
+        node forces its unfrozen double partners uncovered. _close walks the
+        cascade, and every node it reached is frozen with i's mark. A cascade
+        that contradicts itself raises RsgInvariantError.
         """
-        if self.state[i] == UNFROZEN or self.mark[i] == NO_MARK:
+        st, m = self.state[i], self.mark[i]
+        if st == UNFROZEN or m == NO_MARK:
             raise ValueError(f"node {i} must be frozen and marked before freezing()")
-        state = self.state
-        work = [i]
-        while work:
-            x = work.pop()
-            m = self.mark[x]
-            if state[x] == POS_FROZEN:
-                for w in self.active_adj[x]:
-                    if state[w] == UNFROZEN:
-                        self._set_state(w, NEG_FROZEN, m)
-                        work.append(w)
+        work = self._close(((i, 1 if st == POS_FROZEN else -1),))
+        if work is None:
+            raise RsgInvariantError(f"freezing cascade of {i} contradicts itself")
+        for lit in work[1:]:
+            if lit >= 0:
+                self._set_state(lit, POS_FROZEN, m)
             else:
-                for w in self.double_adj[x]:
-                    if state[w] == UNFROZEN:
-                        self._set_state(w, POS_FROZEN, m)
-                        work.append(w)
+                self._set_state(~lit, NEG_FROZEN, m)
+        return [lit if lit >= 0 else ~lit for lit in work]
 
     def has_foreign_pos_neighbour(self, j: int, root_mark: int) -> bool:
         state, mark = self.state, self.mark
@@ -332,52 +329,47 @@ class ReducedSolutionGraph:
                 return True
         return False
 
-    def would_refreeze(self, i: int, entries, root_mark: int) -> bool:
-        """Would adding node i as uncovered contradict itself even after the
-        release it triggers?
+    def release_set(self, entries, root_mark: int) -> set[int]:
+        """The nodes a release of the cascade carrying root_mark unfreezes.
 
-        Simulates the guarded release walk without mutating, then propagates
-        i = +1 treating the would-be-released nodes as unfrozen, with the
+        The entries themselves are released unconditionally. The walk goes on
+        through frozen neighbours with that mark; a covered one that still has
+        an uncovered neighbour from a different cascade stays frozen and
+        blocks the walk there (checking rule). Releasing the cascade changes
+        no node outside it, so the guard gives the same answer before and
+        after the release, and the set can be computed up front.
+        """
+        state, mark, aadj = self.state, self.mark, self.active_adj
+        out = set(entries)
+        stack = list(out)
+        while stack:
+            for j in aadj[stack.pop()]:
+                if j in out or state[j] == UNFROZEN or mark[j] != root_mark:
+                    continue
+                if state[j] == NEG_FROZEN and self.has_foreign_pos_neighbour(j, root_mark):
+                    continue
+                out.add(j)
+                stack.append(j)
+        return out
+
+    def would_refreeze(self, i: int, released) -> bool:
+        """Would adding node i as uncovered contradict itself even after the
+        release of the nodes in released (a release_set)?
+
+        Propagates i = +1 treating the released nodes as unfrozen, with the
         usual conflict rules against everything that stays frozen. On such an
         incompatible structure, freezing any one node keeps the represented
         cover size, and the new node is the convenient choice.
         """
-        state, mark, aadj = self.state, self.mark, self.active_adj
-        virt = set(entries)
-        stack = list(entries)
-        while stack:
-            x = stack.pop()
-            for j in aadj[x]:
-                if j in virt or state[j] == UNFROZEN or mark[j] != root_mark:
-                    continue
-                if state[j] == NEG_FROZEN and self.has_foreign_pos_neighbour(j, root_mark):
-                    continue
-                virt.add(j)
-                stack.append(j)
-        return not self._close(((i, 1),), virt=virt)
+        return self._close(((i, 1),), virt=released) is None
 
     def releasing(self, i: int, root_mark: int) -> None:
-        """Undo the cascade carrying root_mark, starting from i.
-
-        i itself is released unconditionally. A covered neighbour that still
-        has an uncovered neighbour from a different cascade stays frozen and
-        blocks the walk there (checking rule).
-        """
+        """Undo the cascade carrying root_mark, starting from i (release_set)."""
         if not self.active[i]:
             raise ValueError(f"node {i} is not active")
-        state, mark = self.state, self.mark
-        if state[i] != UNFROZEN:
-            self.release_one(i)
-        work = [i]
-        while work:
-            x = work.pop()
-            for j in self.active_adj[x]:
-                if state[j] == UNFROZEN or mark[j] != root_mark:
-                    continue
-                if state[j] == NEG_FROZEN and self.has_foreign_pos_neighbour(j, root_mark):
-                    continue
-                self.release_one(j)
-                work.append(j)
+        for x in self.release_set((i,), root_mark):
+            if self.state[x] != UNFROZEN:
+                self.release_one(x)
 
     def rechecking(self) -> None:
         """Release covered backbones that lost all but one uncovered neighbour.
@@ -385,40 +377,39 @@ class ReducedSolutionGraph:
         A cascade-frozen covered node u whose only remaining uncovered
         neighbour v belongs to the same cascade is not forced after all: the
         cascade flip carries both, so u and v form a mutual-determination.
-        Both are released with a double edge, and the remainder of u's old
-        cascade is released too (still subject to the checking rule). A
-        foreign uncovered neighbour must not be released this way: its own
-        cascade still pins it, and unfreezing it collapses the energy level.
-        Repeats until no node qualifies, scanning ascending (rank, id).
+        Both are released with a double edge, and so is every other member
+        of u's old cascade, except covered ones still pinned by a foreign
+        uncovered neighbour (the checking rule). A foreign uncovered
+        neighbour must not be released this way: its own cascade still pins
+        it, and unfreezing it collapses the energy level. Repeats until no
+        node qualifies, scanning ascending (rank, id).
         """
         rank = self.ranks.rank
+        state, mark = self.state, self.mark
         heap = [(rank[x], x) for x in self._recheck_candidates]
         heapq.heapify(heap)
         self._recheck_candidates.clear()
         while heap:
             _, u = heapq.heappop(heap)
-            # a candidate scanned without firing stays ineligible until a
-            # tracked change re-adds it, so dropping it here is safe
-            if not self.active[u] or self.state[u] != NEG_FROZEN:
+            m = mark[u]
+            # self-rooted backbones are not cascade members; a candidate
+            # scanned without firing stays ineligible until a tracked change
+            # re-adds it, so dropping it here is safe
+            if state[u] != NEG_FROZEN or m == u or self.pos_nbr_count[u] != 1:
                 continue
-            m = self.mark[u]
-            if m == NO_MARK or m == u:
-                continue  # self-rooted backbones are not cascade members
-            if self.pos_nbr_count[u] != 1:
-                continue
-            v = next(w for w in self.active_adj[u] if self.state[w] == POS_FROZEN)
-            if self.mark[v] != m:
+            v = next(w for w in self.active_adj[u] if state[w] == POS_FROZEN)
+            if mark[v] != m:
                 continue
             self.release_one(u)
             self.release_one(v)
             self.set_double(u, v)
-            members = sorted((rank[x], x) for x in self._mark_members.get(m, ()))
-            for _, w in members:
-                if not self.active[w] or self.state[w] == UNFROZEN or self.mark[w] != m:
-                    continue
-                if self.state[w] == NEG_FROZEN and self.has_foreign_pos_neighbour(w, m):
-                    continue
-                self.releasing(w, m)
+            free = [
+                w
+                for w in self._mark_members.get(m, ())
+                if state[w] != NEG_FROZEN or not self.has_foreign_pos_neighbour(w, m)
+            ]
+            for w in free:
+                self.release_one(w)
             # merge candidates created by the releases into the live scan
             for x in self._recheck_candidates:
                 heapq.heappush(heap, (rank[x], x))
@@ -537,14 +528,8 @@ class ReducedSolutionGraph:
         def freeze(u: int, new_state: int) -> None:
             # freezing removes implications, so passes stay valid; only the
             # slack conditions of bystanders need a second look
-            outer = self.step_touched
-            delta: set[int] = set()
-            self.step_touched = delta
             self._set_state(u, new_state, u)
-            self.freezing(u)
-            self.step_touched = outer
-            outer |= delta
-            for x in delta:
+            for x in self.freezing(u):
                 for w in aadj[x]:
                     if state[w] == UNFROZEN:
                         heapq.heappush(heap, rank[w] * n + w)
@@ -559,13 +544,13 @@ class ReducedSolutionGraph:
             u = key % n
             if state[u] != UNFROZEN:
                 continue
-            if probe and not okp[u] and not self._close(((u, 1),), certify=True):
+            if probe and not okp[u] and self._close(((u, 1),), certify=True) is None:
                 freeze(u, NEG_FROZEN)
                 continue
             # -1 propagates only through double partners (all active); without
             # any the cone is trivially the node itself
             if dadj[u]:
-                if probe and not okn[u] and not self._close(((u, -1),), certify=True):
+                if probe and not okn[u] and self._close(((u, -1),), certify=True) is None:
                     freeze(u, POS_FROZEN)
                 continue
             # frozen neighbours here are all covered (an uncovered one
@@ -1009,11 +994,11 @@ class ReducedSolutionGraph:
             for u in range(n):
                 if not active[u] or state[u] != UNFROZEN:
                     continue
-                if not self._close(((u, 1),)):
+                if self._close(((u, 1),)) is None:
                     raise RsgInvariantError(
                         f"unfrozen node {u} cannot take +1 (missed implied backbone)"
                     )
-                if not self._close(((u, -1),)):
+                if self._close(((u, -1),)) is None:
                     raise RsgInvariantError(
                         f"unfrozen node {u} cannot take -1 (missed implied backbone)"
                     )

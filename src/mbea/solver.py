@@ -15,7 +15,8 @@ neighbours, plus a simultaneity check on its unfrozen neighbours):
       (positively frozen) and its freezing influence cascades.
   incompatible unfrozen neighbours -> case D: i is covered.
 
-Cases A and E finish with the rechecking sweep and odd-cycle breaking.
+_dispatch classifies and applies each addition. run_mbea then ends every
+step with odd-cycle breaking, preceded by the rechecking sweep after A and E.
 """
 
 from __future__ import annotations
@@ -53,67 +54,43 @@ class MbeaResult:
 
 
 def _dispatch(rsg: ReducedSolutionGraph, i: int) -> str:
+    """Classify the addition of node i and apply it; the case label."""
     state, mark = rsg.state, rsg.mark
     rank = rsg.ranks.rank
     nbrs = rsg.active_adj[i]
     pos_nbrs = [w for w in nbrs if state[w] == POS_FROZEN]
     unfrozen_nbrs = [w for w in nbrs if state[w] == UNFROZEN]
-    num = len(pos_nbrs)
 
-    if num == 1:
-        pos = pos_nbrs[0]
-        if rsg.compatible_minus_one(unfrozen_nbrs) and not rsg.would_refreeze(
-            i, (pos,), mark[pos]
-        ):
-            rsg.set_double(i, pos)
-            rsg.releasing(pos, mark[pos])
-            rsg.rechecking()
-            rsg.break_odd_cycles(set(rsg.step_touched))
-            return "A"
+    if pos_nbrs:
+        single = len(pos_nbrs) == 1
+        m = mark[pos_nbrs[0]]
+        # Case E needs one shared cascade. A covered neighbour frozen by it
+        # would flip uncovered when the cascade releases, uncovering edge
+        # (i, q); unless a foreign uncovered neighbour pins it in place.
+        feasible = single or (
+            all(mark[p] == m for p in pos_nbrs)
+            and not any(
+                state[q] == NEG_FROZEN
+                and mark[q] == m
+                and not rsg.has_foreign_pos_neighbour(q, m)
+                for q in nbrs
+            )
+        )
+        if feasible and rsg.compatible_minus_one(unfrozen_nbrs):
+            released = rsg.release_set(pos_nbrs, m)
+            if not rsg.would_refreeze(i, released):
+                rsg.set_double(i, max(pos_nbrs, key=lambda p: (rank[p], p)))
+                for x in released:
+                    rsg.release_one(x)
+                return "A" if single else "E"
         rsg.freeze_neg(i, i)
-        rsg.break_odd_cycles(set(rsg.step_touched), additions=False)
-        return "D"
-
-    if num >= 2:
-        shared = {mark[p] for p in pos_nbrs}
-        feasible = len(shared) == 1
-        if feasible:
-            m = next(iter(shared))
-            # A covered neighbour frozen by the same cascade would flip
-            # uncovered when the cascade releases, uncovering edge (i, q);
-            # unless a foreign uncovered neighbour pins it in place.
-            for q in nbrs:
-                if (
-                    state[q] == NEG_FROZEN
-                    and mark[q] == m
-                    and not rsg.has_foreign_pos_neighbour(q, m)
-                ):
-                    feasible = False
-                    break
-        if (
-            feasible
-            and rsg.compatible_minus_one(unfrozen_nbrs)
-            and not rsg.would_refreeze(i, tuple(pos_nbrs), m)
-        ):
-            pos = max(pos_nbrs, key=lambda p: (rank[p], p))
-            rsg.set_double(i, pos)
-            for j in sorted(pos_nbrs):
-                if state[j] != UNFROZEN:
-                    rsg.releasing(j, mark[j])
-            rsg.rechecking()
-            rsg.break_odd_cycles(set(rsg.step_touched))
-            return "E"
-        rsg.freeze_neg(i, i)
-        rsg.break_odd_cycles(set(rsg.step_touched), additions=False)
-        return "B"
+        return "D" if single else "B"
 
     if rsg.compatible_minus_one(unfrozen_nbrs):
         rsg.freeze_pos(i, i)
         rsg.freezing(i)
-        rsg.break_odd_cycles(set(rsg.step_touched), additions=False)
         return "C"
     rsg.freeze_neg(i, i)
-    rsg.break_odd_cycles(set(rsg.step_touched), additions=False)
     return "D"
 
 
@@ -142,6 +119,10 @@ def run_mbea(
         rsg.begin_step()
         rsg.activate(i)
         label = _dispatch(rsg, i)
+        # A and E release a cascade and add implications: recheck, then probe
+        if label in "AE":
+            rsg.rechecking()
+        rsg.break_odd_cycles(set(rsg.step_touched), additions=label in "AE")
         case_counts[label] += 1
         if trace_list is not None:
             trace_list.append(TraceEntry(i, label, tuple(sorted(rsg.step_touched))))

@@ -87,6 +87,17 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.edges")]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle", "export"])
+def test_non_utf8_input_exit_code(command, tmp_path, capsys):
+    path = tmp_path / "bin.dat"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"mbea: {path}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["solve"]) == 1
     assert main(["frobnicate"]) == 1

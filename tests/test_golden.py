@@ -7,9 +7,12 @@ the new digest in GOLDEN and say in CHANGES.md why the outputs moved.
 """
 
 import hashlib
+from collections import Counter
+
+import pytest
 
 from mbea.graphs import GenConfig, cycle_graph, generate_er, path_graph
-from mbea.solver import run_mbea
+from mbea.solver import CASES, run_mbea
 
 GOLDEN = "df765bdda904a406a9db8c3d95f7a4025fb3dec3a8e9a751117ad6d9eda8e0ad"
 
@@ -29,17 +32,30 @@ def corpus():
         yield f"er 1000 {c} 5", generate_er(GenConfig(1000, c, 5))
 
 
-def outputs_digest() -> str:
+def outputs_digest() -> tuple[str, Counter]:
+    """The digest, and how often the corpus ran each case."""
     h = hashlib.sha256()
+    totals: Counter = Counter()
     for label, g in corpus():
         res = run_mbea(g, trace=True)
+        totals.update(res.case_counts)
         cases = " ".join(f"{c}:{k}" for c, k in sorted(res.case_counts.items()))
         h.update(f"{label}\n{res.cover_size}\n{cases}\n{res.spins}\n".encode())
         for e in res.trace:
             h.update(f"{e.node} {e.case} {e.affected}\n".encode())
         h.update(res.rsg.export_json().encode())
-    return h.hexdigest()
+    return h.hexdigest(), totals
 
 
-def test_outputs_match_golden_digest():
-    assert outputs_digest() == GOLDEN
+@pytest.fixture(scope="module")
+def outputs():
+    return outputs_digest()
+
+
+def test_outputs_match_golden_digest(outputs):
+    assert outputs[0] == GOLDEN
+
+
+def test_corpus_runs_every_case(outputs):
+    """The digest covers every branch of the case dispatch."""
+    assert all(outputs[1][c] > 0 for c in CASES), outputs[1]

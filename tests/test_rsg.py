@@ -14,7 +14,7 @@ from mbea.rsg import (
     RsgInvariantError,
     dot_from_json,
 )
-from mbea.solver import run_mbea
+from mbea.solver import _dispatch, run_mbea
 
 from conftest import graphs, trees
 
@@ -71,7 +71,7 @@ def test_compatible_order_independence():
 def test_freezing_one_level():
     g = Graph(3, [(0, 1), (0, 2)])
     rsg = ReducedSolutionGraph.from_parts(g, states={0: POS_FROZEN}, marks={0: 0})
-    rsg.freezing(0)
+    assert rsg.freezing(0) == [0, 1, 2]
     assert rsg.state[1] == NEG_FROZEN and rsg.mark[1] == 0
     assert rsg.state[2] == NEG_FROZEN and rsg.mark[2] == 0
 
@@ -94,6 +94,16 @@ def test_freezing_covered_node_without_doubles_is_noop():
     rsg = ReducedSolutionGraph.from_parts(g, states={0: NEG_FROZEN}, marks={0: 0})
     rsg.freezing(0)
     assert rsg.state[1] == UNFROZEN and rsg.state[2] == UNFROZEN
+
+
+def test_freezing_contradicting_cascade_raises():
+    # 0 uncovered forces both ends of the double edge (1, 2) covered
+    g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    rsg = ReducedSolutionGraph.from_parts(
+        g, states={0: POS_FROZEN}, marks={0: 0}, doubles=[(1, 2)]
+    )
+    with pytest.raises(RsgInvariantError):
+        rsg.freezing(0)
 
 
 # ----------------------------------------------------------------- releasing
@@ -188,6 +198,45 @@ def test_rechecking_releases_pair_and_cascade():
     assert rsg.state[2] == UNFROZEN
     assert rsg.state[1] == UNFROZEN
     assert rsg.edge_kind(0, 2) == "double"
+
+
+def test_rechecking_releases_the_whole_cascade():
+    # 0 fires against 1; 2 belongs to the same cascade but no walk through
+    # cascade members reaches it; 3 is a member pinned by a foreign node 4
+    g = Graph(5, [(0, 1), (3, 4)])
+    rsg = ReducedSolutionGraph.from_parts(
+        g,
+        states={0: NEG_FROZEN, 1: POS_FROZEN, 2: POS_FROZEN, 3: NEG_FROZEN, 4: POS_FROZEN},
+        marks={0: 1, 1: 1, 2: 1, 3: 1, 4: 4},
+    )
+    assert 2 not in rsg.release_set((0, 1), 1)
+    rsg.rechecking()
+    assert [rsg.state[u] for u in range(5)] == [
+        UNFROZEN, UNFROZEN, UNFROZEN, NEG_FROZEN, POS_FROZEN
+    ]
+    assert rsg.edge_kind(0, 1) == "double"
+    rsg.validate()
+
+
+def test_case_e_releases_union_of_entry_walks():
+    # new node 6 borders 0 and 1, both uncovered in cascade 0; the covered
+    # member 2 between them is pinned by the foreign node 3, so the walk
+    # from 0 frees only its tail 4 and the walk from 1 only its tail 5
+    g = Graph(7, [(0, 2), (1, 2), (2, 3), (0, 4), (1, 5), (0, 6), (1, 6)])
+    rsg = ReducedSolutionGraph.from_parts(
+        g,
+        states={0: POS_FROZEN, 1: POS_FROZEN, 2: NEG_FROZEN, 3: POS_FROZEN,
+                4: NEG_FROZEN, 5: NEG_FROZEN},
+        marks={0: 0, 1: 0, 2: 0, 3: 3, 4: 0, 5: 0},
+        active=set(range(6)),
+    )
+    walks = [rsg.release_set((p,), 0) for p in (0, 1)]
+    assert walks == [{0, 4}, {1, 5}]
+    rsg.activate(6)
+    assert _dispatch(rsg, 6) == "E"
+    assert {u for u in range(6) if rsg.state[u] == UNFROZEN} == walks[0] | walks[1]
+    assert rsg.state[2] == NEG_FROZEN and rsg.state[3] == POS_FROZEN
+    rsg.validate()
 
 
 def test_rechecking_skips_foreign_pair():
