@@ -23,7 +23,12 @@ def main() -> int:
         t = median_runtime(n, args.c, seeds=args.seeds)
         points.append((n, t))
         print(f"{n:>8} {t:>12.3f}")
-    print(f"log-log slope: {fit_loglog_slope(points):.3f}")
+    try:
+        slope = fit_loglog_slope(points)
+    except ValueError as exc:
+        print(f"scaling_benchmark: {exc}", file=sys.stderr)
+        return 1
+    print(f"log-log slope: {slope:.3f}")
     return 0
 
 

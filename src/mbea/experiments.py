@@ -193,7 +193,15 @@ def median_runtime(n: int, c: float, seeds, repeats: int = 1) -> float:
 
 
 def fit_loglog_slope(points) -> float:
-    """Least-squares slope of log(t) against log(n) for (n, t) pairs."""
+    """Least-squares slope of log(t) against log(n) for (n, t) pairs.
+
+    Raises ValueError unless every n and t is positive and at least two n
+    differ: a slope needs two distinct sizes and logarithms need positives.
+    """
+    if any(n <= 0 or t <= 0 for n, t in points):
+        raise ValueError(f"log-log fit needs positive sizes and times, got {points}")
+    if len({n for n, _ in points}) < 2:
+        raise ValueError(f"log-log fit needs at least two distinct sizes, got {points}")
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(t) for _, t in points]
     mx = sum(xs) / len(xs)

@@ -1,4 +1,9 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from mbea.experiments import (
     CSV_HEADER,
@@ -99,9 +104,34 @@ def test_fit_loglog_slope_linear_data():
     assert abs(fit_loglog_slope(quad) - 2.0) < 1e-9
 
 
-def test_config_validation():
-    import pytest
+@pytest.mark.parametrize(
+    "points, problem",
+    [
+        ([(1000, 0.5)], "two distinct sizes"),
+        ([(1000, 0.5), (1000, 0.7)], "two distinct sizes"),
+        ([(1000, 0.5), (2000, 0.0)], "positive sizes and times"),
+    ],
+    ids=["one-size", "repeated-size", "zero-time"],
+)
+def test_fit_loglog_slope_rejects_degenerate_points(points, problem):
+    with pytest.raises(ValueError, match=problem):
+        fit_loglog_slope(points)
 
+
+def test_scaling_benchmark_single_size_exits_one_line():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "scaling_benchmark.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--sizes", "10", "--seeds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and "two distinct sizes" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(c_grid=(1.0,), n_grid=(10,), instances=0, seed=1).validate()
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from mbea.graphs import GenConfig, Graph, cycle_graph, generate_er, path_graph
-from mbea.leaf_removal import leaf_removal_ranks
+from mbea.leaf_removal import RankAssignment, leaf_removal_ranks
 from mbea.rsg import (
     NEG_FROZEN,
     POS_FROZEN,
@@ -317,11 +317,14 @@ def _solved(res):
 
 
 def test_probe_passes_kept_across_sweeps_match_fresh_probes(monkeypatch):
-    """Passes kept across sweeps decide exactly as probing afresh would."""
+    """Passes kept across sweeps, chain heads probed first and failures
+    recorded per sweep decide exactly as probing each literal afresh would."""
     graphs = list(_random_graphs(240, seed=5))
     graphs += [path_graph(n) for n in range(2, 40)]
     graphs += [cycle_graph(n) for n in range(3, 40)]
+    long_chains = [path_graph(200), cycle_graph(200), cycle_graph(201)]
     kept = [_solved(run_mbea(g, trace=True, validate=True)) for g in graphs]
+    kept += [_solved(run_mbea(g, trace=True)) for g in long_chains]
     sweep = ReducedSolutionGraph.break_odd_cycles
 
     def fresh_sweep(self, touched, additions=True):
@@ -330,8 +333,46 @@ def test_probe_passes_kept_across_sweeps_match_fresh_probes(monkeypatch):
         return sweep(self, touched, additions)
 
     monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", fresh_sweep)
-    for g, expect in zip(graphs, kept):
+    monkeypatch.setattr(ReducedSolutionGraph, "_chain_head", lambda self, x, failed: x)
+    for g, expect in zip(graphs + long_chains, kept):
         assert _solved(run_mbea(g, trace=True)) == expect, g
+
+
+def test_failed_chain_head_is_forgotten_when_the_sweep_ends():
+    """u=0 probes its chain head h=2 first (+2 implies -1 implies +0); +2
+    fails against the uncovered node 3, so h is frozen without a re-probe.
+    Once 3 and h are released, the next sweep must probe +2 afresh."""
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    ranks = RankAssignment(rank=(1, 2, 3, 4), in_core=(False,) * 4, max_rank=4)
+    rsg = ReducedSolutionGraph.from_parts(
+        g, states={3: POS_FROZEN}, marks={3: 3}, doubles=[(0, 1)], ranks=ranks
+    )
+    rsg.break_odd_cycles({0, 1, 2, 3})
+    assert rsg.state[:3] == [UNFROZEN, UNFROZEN, NEG_FROZEN]
+    rsg.release_one(3)
+    rsg.release_one(2)
+    rsg.break_odd_cycles({2, 3})
+    assert rsg.state == [UNFROZEN] * 4
+    assert rsg.edge_kind(2, 3) == "double"
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("path", 600), ("path", 601), ("cycle", 400), ("cycle", 401)]
+)
+def test_chain_sweep_probes_each_literal_once(monkeypatch, kind, n):
+    """On an alternating double-edge chain the closure sweep probes the chain
+    head, whose pass covers every literal below it: at most n certifying
+    probes in the whole run (nested cones probed inside out took n^2/16)."""
+    close = ReducedSolutionGraph._close
+    probes = [0]
+
+    def counting_close(self, seeds, rng=None, virt=(), certify=False):
+        probes[0] += certify
+        return close(self, seeds, rng, virt, certify)
+
+    monkeypatch.setattr(ReducedSolutionGraph, "_close", counting_close)
+    run_mbea(path_graph(n) if kind == "path" else cycle_graph(n))
+    assert probes[0] <= n
 
 
 # --------------------------------------------------------------- enumeration

@@ -188,3 +188,24 @@ def test_every_graph_up_to_five_nodes():
         assert {a.cover_size for a in mine.assignments} == {res.cover_size}
         if ranks.core_empty:
             assert diff_spaces(mine, enumerate_min_covers(g)).equal
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("path", 1000), ("path", 1001), ("cycle", 1000), ("cycle", 1001)]
+)
+def test_long_chains_match_closed_forms(kind, n):
+    """Cover size floor(n/2) on paths and ceil(n/2) on cycles; the represented
+    space holds n/2+1 covers on even paths, 1 on odd paths and 2 on even
+    cycles (a nonempty subspace of the minimum covers on odd cycles), each
+    one valid and of that size."""
+    g = path_graph(n) if kind == "path" else cycle_graph(n)
+    cover = n // 2 if kind == "path" else (n + 1) // 2
+    count = {("path", 0): n // 2 + 1, ("path", 1): 1, ("cycle", 0): 2}.get((kind, n % 2))
+    res = run_mbea(g)
+    assert res.cover_size == cover
+    assert cover_from_rsg(res).cover_size == cover
+    represented = res.rsg.enumerate_assignments().assignments
+    assert represented if count is None else len(represented) == count
+    for a in represented:
+        assert a.cover_size == cover
+        assert is_cover(g, a.covered())
