@@ -7,9 +7,10 @@ write the pairs and their summary as one BENCH_<workload>.json file.
 
 Pair k runs `python3 bench/run.py --workload W --seed S --seconds T --trace 0`
 (T is run_seconds in BENCHMARK.json) in both checkouts, the parent first when
-k is even and the working tree first when it is odd. Before each run the bytecode caches under the checkout's
-src/ are removed, as in a fresh checkout, so the import time inside
-`setup_s` is measured the same way on both sides whatever ran before (with
+k is even and the working tree first when it is odd. Before each run the
+bytecode caches under the checkout's src/ are removed, as in a fresh
+checkout, so the import time inside `setup_s` is measured the same way on
+both sides whatever ran before (with
 PYTHONDONTWRITEBYTECODE set, a cache left by an earlier run made it read 40%
 lower). The file records nproc, the Python version, the seeds, every run's
 metrics, and per end-to-end metric of BENCHMARK.json each side's median and

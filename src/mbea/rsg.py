@@ -515,14 +515,6 @@ class ReducedSolutionGraph:
             x = up
         return x
 
-    def _probe_head(self, x: int, failed: set[int]) -> None:
-        """Probe the head of the double-edge chain above +x, if it is not x:
-        the head implies +x, so its pass certifies +x and the chain between.
-        A failing head is added to failed."""
-        h = self._chain_head(x, failed)
-        if h != x and self._close(((h, 1),), certify=True) is None:
-            failed.add(h)
-
     def break_odd_cycles(self, touched, additions: bool = True) -> None:
         """Freeze implied backbones and restore the single energy level.
 
@@ -561,15 +553,15 @@ class ReducedSolutionGraph:
         (_chain_head). The head implies the literal, so its pass certifies
         the whole chain in one probe. A failing head goes into a per-sweep
         set and the literal is probed itself; a node whose +1 literal is in
-        the set is frozen without a re-probe. Rank order still decides every freeze, so the
-        outputs are those of probing each literal alone. A failure stays
-        valid until the sweep ends: freezing leaves a failing unfrozen
-        literal failing or freezes it (more fixed values reach a conflict no
-        later), the sweep's only additions are double edges, which only add
-        implications, and no release happens inside a sweep. Climbing from
-        nodes with several partners cost random graphs more time than it
-        saved; climbing for -1 literals too (-u with one partner p is +p)
-        saved no probe on chains or sparse graphs.
+        the set is frozen without a re-probe. Rank order still decides every
+        freeze, so the outputs are those of probing each literal alone. A
+        failure stays valid until the sweep ends: freezing leaves a failing
+        unfrozen literal failing or freezes it (more fixed values reach a
+        conflict no later), the sweep's only additions are double edges,
+        which only add implications, and no release happens inside a sweep.
+        Climbing from nodes with several partners cost random graphs more
+        time than it saved; climbing for -1 literals too (-u with one
+        partner p is +p) saved no probe on chains or sparse graphs.
         """
         rank = self.ranks.rank
         n = self.graph.n
@@ -615,7 +607,9 @@ class ReducedSolutionGraph:
                 # a chain goes on above u only through a partner with more
                 # neighbours (most partners in sparse graphs are pendants)
                 if len(dadj[u]) == 1 and len(aadj[dadj[u][0]]) > 1 and u not in failed:
-                    self._probe_head(u, failed)
+                    h = self._chain_head(u, failed)
+                    if h != u and self._close(((h, 1),), certify=True) is None:
+                        failed.add(h)
                 # a failed +u has no pass: none is recorded after the failure
                 if not okp[u] and (u in failed or self._close(((u, 1),), certify=True) is None):
                     freeze(u, NEG_FROZEN)
