@@ -604,9 +604,10 @@ class ReducedSolutionGraph:
             if state[u] != UNFROZEN:
                 continue
             if probe and not okp[u]:
-                # a chain goes on above u only through a partner with more
-                # neighbours (most partners in sparse graphs are pendants)
-                if len(dadj[u]) == 1 and len(aadj[dadj[u][0]]) > 1 and u not in failed:
+                # a chain goes on above u through a partner whose one other
+                # neighbour is unpassed; climbs through partners of higher
+                # degree mostly went nowhere and cost small dense graphs time
+                if len(dadj[u]) == 1 and len(aadj[dadj[u][0]]) == 2 and u not in failed:
                     h = self._chain_head(u, failed)
                     if h != u and self._close(((h, 1),), certify=True) is None:
                         failed.add(h)
