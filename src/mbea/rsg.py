@@ -548,9 +548,9 @@ class ReducedSolutionGraph:
         _affected_unfrozen: through `touched` at the start of a sweep after
         an addition, or through the slack rule's own call below.
 
-        Head first: before probing the unpassed +1 literal of a node with one
-        double partner, the sweep probes the head of its double-edge chain
-        (_chain_head). The head implies the literal, so its pass certifies
+        Head first: before probing the unpassed +1 literal of a node whose
+        one double partner has one other neighbour, the sweep probes the
+        head of its double-edge chain (_chain_head). The head implies the literal, so its pass certifies
         the whole chain in one probe. A failing head goes into a per-sweep
         set and the literal is probed itself; a node whose +1 literal is in
         the set is frozen without a re-probe. Rank order still decides every
@@ -559,9 +559,10 @@ class ReducedSolutionGraph:
         unfrozen literal failing or freezes it (more fixed values reach a
         conflict no later), the sweep's only additions are double edges,
         which only add implications, and no release happens inside a sweep.
-        Climbing from nodes with several partners cost random graphs more
-        time than it saved; climbing for -1 literals too (-u with one
-        partner p is +p) saved no probe on chains or sparse graphs.
+        Climbing from nodes with several partners, or through a first
+        partner of higher degree, cost random graphs more time than it
+        saved; climbing for -1 literals too (-u with one partner p is +p)
+        saved no probe on chains or sparse graphs.
         """
         rank = self.ranks.rank
         n = self.graph.n
@@ -604,9 +605,8 @@ class ReducedSolutionGraph:
             if state[u] != UNFROZEN:
                 continue
             if probe and not okp[u]:
-                # a chain goes on above u through a partner whose one other
-                # neighbour is unpassed; climbs through partners of higher
-                # degree mostly went nowhere and cost small dense graphs time
+                # climbs through a partner of higher degree mostly went
+                # nowhere and cost small dense graphs time
                 if len(dadj[u]) == 1 and len(aadj[dadj[u][0]]) == 2 and u not in failed:
                     h = self._chain_head(u, failed)
                     if h != u and self._close(((h, 1),), certify=True) is None:
