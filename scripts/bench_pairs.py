@@ -15,7 +15,9 @@ PYTHONDONTWRITEBYTECODE set, a cache left by an earlier run made it read 40%
 lower). The file records nproc, the Python version, the seeds, every run's
 metrics, and per end-to-end metric of BENCHMARK.json each side's median and
 quartiles and the pairs each side won (ties count for neither); hold-out
-seeds are summarised on their own.
+seeds are summarised on their own. The file is rewritten after every pair,
+so a run that fails or is stopped keeps the pairs it finished; a failing
+benchmark run still ends the script with its stderr and a non-zero exit.
 """
 
 from __future__ import annotations
@@ -111,15 +113,6 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
-    pairs = []
-    for k, seed in enumerate(args.seeds + args.holdout):
-        order = SIDES if k % 2 == 0 else SIDES[::-1]
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_once(checkouts[side], args.workload, seed, seconds)
-        pairs.append(pair)
-        print(f"bench_pairs: {args.workload} seed {seed} done", file=sys.stderr)
-    main_pairs = pairs[: len(args.seeds)]
     doc = {
         "workload": args.workload,
         "command": f"python3 bench/run.py --workload {args.workload} --seed S "
@@ -130,13 +123,22 @@ def main(argv=None) -> int:
         "change": tree_label(),
         "seeds": args.seeds,
         "holdout_seeds": args.holdout,
-        "summary": summarise(main_pairs, metrics),
-        "holdout": summarise(pairs[len(args.seeds):], metrics) if args.holdout else None,
-        "pairs": pairs,
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    pairs = []
+    for k, seed in enumerate(args.seeds + args.holdout):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_once(checkouts[side], args.workload, seed, seconds)
+        pairs.append(pair)
+        held = pairs[len(args.seeds):]
+        doc["summary"] = summarise(pairs[: len(args.seeds)], metrics)
+        doc["holdout"] = summarise(held, metrics) if held else None
+        doc["pairs"] = pairs
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        print(f"bench_pairs: {args.workload} seed {seed} done", file=sys.stderr)
     return 0
 
 

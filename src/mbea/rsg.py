@@ -18,9 +18,13 @@ Spin propagation implements the two rules as implications:
   x = +1  =>  every active neighbour of x is -1
   x = -1  =>  every double partner of x is +1
 One kernel, _close, propagates them for the case dispatch, the closure sweep,
-the validator and freezing, which freezes what the kernel's worklist reached.
-It runs iteratively on scratch arrays (cascades can reach the whole graph, so
-no recursion) and never changes the represented space itself.
+the validator, freezing (which freezes what the kernel's worklist reached),
+and the searches that minimise and enumerate the unfrozen components. It runs
+iteratively on scratch tags (cascades can reach the whole graph, so no
+recursion) and never changes the represented space itself. A search keeps its
+partial assignment in the tags and extends it in _close's keep mode, which
+undoes an extension that conflicts; so nothing may call _close between two
+assignments a search takes (list() and next() are its only consumers).
 
 The closure sweep probes the head of a double-edge chain before the literal
 it reaches (+w implies -p implies +x, where p is x's only double partner and
@@ -37,6 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import insort
+from collections import defaultdict
 from enum import IntEnum
 
 from .graphs import Graph
@@ -56,6 +61,10 @@ POS_FROZEN = int(NodeState.POS_FROZEN)
 NEG_FROZEN = int(NodeState.NEG_FROZEN)
 
 NO_MARK = -1
+
+# min_component_assignment falls back to the first satisfying assignment above these
+_MAX_CYCLE_RANK = 60
+_WORK_BUDGET = 200_000
 
 _STATE_NAMES = {UNFROZEN: "unfrozen", POS_FROZEN: "pos", NEG_FROZEN: "neg"}
 
@@ -100,7 +109,7 @@ class ReducedSolutionGraph:
         self.pos_nbr_count = [0] * n
         self.step_touched: set[int] = set()
         self._recheck_candidates: set[int] = set()
-        self._mark_members: dict[int, set[int]] = {}
+        self._mark_members: defaultdict[int, set[int]] = defaultdict(set)
         # versioned scratch, reset in O(1) by bumping the tag: _close stores
         # +tag / -tag for a node it sets to +1 / -1, _affected_unfrozen
         # tags the +x and -x literals it reaches in _ptag and _ntag
@@ -136,7 +145,7 @@ class ReducedSolutionGraph:
         for u, m in (marks or {}).items():
             rsg.mark[u] = NO_MARK if m is None else m
             if rsg.mark[u] != NO_MARK:
-                rsg._mark_members.setdefault(rsg.mark[u], set()).add(u)
+                rsg._mark_members[rsg.mark[u]].add(u)
         for u, v in doubles:
             rsg.double_adj[u].append(v)
             rsg.double_adj[v].append(u)
@@ -194,7 +203,7 @@ class ReducedSolutionGraph:
         if old_mark != NO_MARK:
             self._mark_members[old_mark].discard(u)
         if new_mark != NO_MARK:
-            self._mark_members.setdefault(new_mark, set()).add(u)
+            self._mark_members[new_mark].add(u)
         state[u] = new_state
         mark[u] = new_mark
         self.step_touched.add(u)
@@ -237,7 +246,7 @@ class ReducedSolutionGraph:
 
     # ------------------------------------------------------------- propagation
 
-    def _close(self, seeds, rng=None, virt=(), certify=False) -> list[int] | None:
+    def _close(self, seeds, rng=None, virt=(), certify=False, keep=False) -> list[int] | None:
         """Close seed (node, spin) pairs under the two rules: the literals
         assigned, seeds first, or None on a conflict.
 
@@ -248,57 +257,75 @@ class ReducedSolutionGraph:
         literal it assigned as a probe pass of the closure sweep. With rng
         set, the worklist pops in random order (propagation is confluent, so
         the answer must not depend on it). The represented space is never
-        changed.
+        changed. With keep set, the call extends the assignment left in _ptag
+        (+tag / -tag per node) instead of bumping the tag, and clears what it
+        set on a conflict: the component searches hold their partial
+        assignment this way, so nothing may call _close between two of their
+        steps. Other users: the case dispatch, the closure sweep, the
+        validator and freezing.
         """
-        self._tag += 1
+        if not keep:
+            self._tag += 1
         tag = self._tag
         ntag = -tag
         seen = self._ptag
         state, aadj, dadj = self.state, self.active_adj, self.double_adj
         work: list[int] = []  # literals: x for x = +1, ~x for x = -1
+        # a conflict breaks out of the loops to the one rollback below
         for x, val in seeds:
             t = tag if val == 1 else ntag
             if seen[x] != t:
                 if seen[x] == -t:
-                    return None
+                    break
                 seen[x] = t
                 work.append(x if val == 1 else ~x)
-        # the list grows while it is walked: a breadth-first worklist
-        for head, lit in enumerate(work):
-            if rng is not None:
-                j = rng.randrange(head, len(work))
-                work[j], work[head] = lit, work[j]
-                lit = work[head]
-            if lit >= 0:
-                for w in aadj[lit]:
-                    st = state[w]
-                    if st != UNFROZEN and w not in virt:
-                        if st == POS_FROZEN:
-                            return None
-                    elif (t := seen[w]) != ntag:
-                        if t == tag:
-                            return None
-                        seen[w] = ntag
-                        work.append(~w)
-            else:
-                for w in dadj[~lit]:
-                    st = state[w]
-                    if st != UNFROZEN and w not in virt:
-                        if st == NEG_FROZEN:
-                            return None
-                    elif (t := seen[w]) != tag:
-                        if t == ntag:
-                            return None
-                        seen[w] = tag
-                        work.append(w)
-        if certify:
-            okp, okn = self._okp, self._okn
-            for lit in work:
+        else:
+            # the list grows while it is walked: a breadth-first worklist
+            for head, lit in enumerate(work):
+                if rng is not None:
+                    j = rng.randrange(head, len(work))
+                    work[j], work[head] = lit, work[j]
+                    lit = work[head]
                 if lit >= 0:
-                    okp[lit] = True
+                    for w in aadj[lit]:
+                        st = state[w]
+                        if st != UNFROZEN and w not in virt:
+                            if st == POS_FROZEN:
+                                break
+                        elif (t := seen[w]) != ntag:
+                            if t == tag:
+                                break
+                            seen[w] = ntag
+                            work.append(~w)
+                    else:
+                        continue
                 else:
-                    okn[~lit] = True
-        return work
+                    for w in dadj[~lit]:
+                        st = state[w]
+                        if st != UNFROZEN and w not in virt:
+                            if st == NEG_FROZEN:
+                                break
+                        elif (t := seen[w]) != tag:
+                            if t == ntag:
+                                break
+                            seen[w] = tag
+                            work.append(w)
+                    else:
+                        continue
+                break
+            else:
+                if certify:
+                    okp, okn = self._okp, self._okn
+                    for lit in work:
+                        if lit >= 0:
+                            okp[lit] = True
+                        else:
+                            okn[~lit] = True
+                return work
+        if keep:
+            for lit in work:
+                seen[lit if lit >= 0 else ~lit] = 0
+        return None
 
     def compatible_minus_one(self, targets, rng=None) -> bool:
         """Can all targets be covered simultaneously in the represented space?"""
@@ -659,79 +686,41 @@ class ReducedSolutionGraph:
             comps.append(sorted(comp))
         return comps
 
-    def _assign_closure(self, val: dict[int, int]):
-        """Shared propagation step for the backtracking searches.
-
-        Returns a function assign(x, v, trail) extending val under the two
-        rules, recording touched nodes on trail, False on conflict.
-        """
-        state, aadj, dadj = self.state, self.active_adj, self.double_adj
-
-        def assign(x: int, v: int, trail: list[int]) -> bool:
-            stack = [(x, v)]
-            while stack:
-                x, v = stack.pop()
-                cur = val.get(x)
-                if cur is not None:
-                    if cur != v:
-                        return False
-                    continue
-                val[x] = v
-                trail.append(x)
-                if v == 1:
-                    for w in aadj[x]:
-                        st = state[w]
-                        if st == UNFROZEN:
-                            stack.append((w, -1))
-                        elif st == POS_FROZEN:
-                            return False
-                else:
-                    for w in dadj[x]:
-                        st = state[w]
-                        if st == UNFROZEN:
-                            stack.append((w, 1))
-                        elif st == NEG_FROZEN:
-                            return False
-            return True
-
-        return assign
-
     def _assignments(self, order):
         """Every constraint-satisfying assignment of the nodes in order, depth
         first: branch on the first unassigned node, +1 before -1.
 
-        Iterative, since the decision depth grows with the component.
+        The partial assignment lives in _close's tags (keep mode), so no
+        other _close call may run between two yields. Iterative, since the
+        decision depth grows with the component.
         """
-        val: dict[int, int] = {}
-        assign = self._assign_closure(val)
-        decisions: list[tuple[int, int, list[int]]] = []  # (position, spin, trail)
+        self._tag += 1
+        tag = self._tag
+        seen = self._ptag
+        decisions: list[tuple[int, int, list[int]]] = []  # (position, spin, literals)
         i, v = 0, 1
         while True:
-            while i < len(order) and order[i] in val:
+            while i < len(order) and abs(seen[order[i]]) == tag:
                 i += 1
             if i == len(order):
-                yield dict(val)
-            else:
-                trail: list[int] = []
-                if assign(order[i], v, trail):
-                    decisions.append((i, v, trail))
-                    i, v = i + 1, 1
-                    continue
-                for x in trail:
-                    del val[x]
-                if v == 1:
-                    v = -1
-                    continue
+                yield {x: 1 if seen[x] == tag else -1 for x in order}
+            elif (lits := self._close(((order[i], v),), keep=True)) is not None:
+                decisions.append((i, v, lits))
+                i, v = i + 1, 1
+                continue
+            elif v == 1:
+                v = -1
+                continue
             # backtrack to the latest decision that can still take -1
-            while True:
-                if not decisions:
-                    return
-                i, v, trail = decisions.pop()
-                for x in trail:
-                    del val[x]
+            while decisions:
+                i, v, lits = decisions.pop()
+                for lit in lits:
+                    seen[lit if lit >= 0 else ~lit] = 0
                 if v == 1:
                     v = -1
                     break
+            else:
+                return
 
     def _component_assignments(self, comp) -> list[dict[int, int]]:
         """All constraint-satisfying assignments of one unfrozen component,
@@ -818,11 +807,7 @@ class ReducedSolutionGraph:
                 spins[c] = 1 if plus[c] <= minus[c] else -1
         return min(plus[root], minus[root]), spins
 
-    def _greedy_assignment(self, comp) -> dict[int, int] | None:
-        """First satisfying assignment, ascending id with +1 preferred."""
-        return next(self._assignments(sorted(comp)), None)
-
-    def min_component_assignment(self, comp, work_budget: int = 200_000):
+    def min_component_assignment(self, comp):
         """Deterministic assignment with the component's minimum covered
         count, +1 preferred on ties.
 
@@ -830,9 +815,10 @@ class ReducedSolutionGraph:
         component in a single pass. Cyclic pieces split recursively:
         assigning a high-degree node and propagating strands independent
         pieces whose minima add up, memoised per piece. Components whose
-        cycle structure exhausts the work budget (charged per piece node
-        examined) fall back to the first satisfying assignment; minimality
-        is then heuristic, which only happens on large leaf-removal cores.
+        cycle rank exceeds _MAX_CYCLE_RANK, or whose cycle structure
+        exhausts _WORK_BUDGET (charged per piece node examined), fall back
+        to the first satisfying assignment; minimality is then heuristic,
+        which only happens on large leaf-removal cores.
         """
         comp_set = frozenset(comp)
         pieces = self._pieces(comp_set)
@@ -840,23 +826,10 @@ class ReducedSolutionGraph:
         if len(pieces) == 1:
             piece, edges, _, clean = pieces[0]
             if clean and edges == len(piece) - 1:
-                _, spins = self._tree_solve(piece)
-                return {u: spins[u] for u in comp}
-        # a large cycle space cannot finish within the branch budget anyway
-        if sum(p[1] for p in pieces) - len(comp_set) + 1 > 60:
-            return self._greedy_assignment(comp)
+                return self._tree_solve(piece)[1]
         memo: dict[frozenset, tuple] = {}
-        budget = [work_budget]
-
-        def branch(piece: frozenset, u: int, v: int):
-            val: dict[int, int] = {}
-            assign = self._assign_closure(val)
-            trail: list[int] = []
-            if not assign(u, v, trail):
-                return None, None
-            cnt = sum(1 for x in trail if x in piece and val[x] == -1)
-            return cnt, self._pieces({x for x in piece if x not in val})
-
+        budget = [_WORK_BUDGET]
+        tags = self._ptag
         TREE = 0  # sentinel spin marking a tree-solved piece, its spins kept
 
         def min_count(shaped) -> int:
@@ -873,10 +846,14 @@ class ReducedSolutionGraph:
                 raise _BranchBudgetOut
             best = best_spin = None
             for v in (1, -1):
-                cnt, rest = branch(piece, branch_node, v)
-                if cnt is None:
+                # read the closure's tags before the pieces left over bump them
+                lits = self._close(((branch_node, v),))
+                if lits is None:
                     continue
-                total = cnt + sum(min_count(p) for p in rest)
+                tag = self._tag
+                rest = self._pieces({x for x in piece if abs(tags[x]) != tag})
+                total = sum(1 for lit in lits if lit < 0 and ~lit in piece)
+                total += sum(min_count(p) for p in rest)
                 if best is None or total < best:
                     best, best_spin = total, v
             if best is None:
@@ -887,37 +864,37 @@ class ReducedSolutionGraph:
             return best
 
         try:
+            # a large cycle space cannot finish within the branch budget anyway
+            if sum(p[1] for p in pieces) - len(comp_set) + 1 > _MAX_CYCLE_RANK:
+                raise _BranchBudgetOut
             for p in pieces:
                 min_count(p)
         except _BranchBudgetOut:
-            return self._greedy_assignment(comp)
-        gval: dict[int, int] = {}
-        assign = self._assign_closure(gval)
+            # the first satisfying assignment, ascending id with +1 preferred
+            return next(self._assignments(sorted(comp)), None)
+        # replay the memo's choices into the tags, extended in keep mode
+        self._tag += 1
+        tag = self._tag
         stack = [p[0] for p in pieces]
         while stack:
             piece = stack.pop()
             _, spin, step = memo[piece]  # step: branch node, or a tree's spins
             if spin == TREE:
-                gval.update(step)
+                for x, s in step.items():
+                    tags[x] = tag if s == 1 else -tag
                 continue
-            trail: list[int] = []
-            if not assign(step, spin, trail):
+            if self._close(((step, spin),), keep=True) is None:
                 return None
-            rest = {x for x in piece if x not in gval}
+            rest = {x for x in piece if abs(tags[x]) != tag}
             stack.extend(p[0] for p in self._pieces(rest))
-        return {u: gval[u] for u in comp}
+        return {u: 1 if tags[u] == tag else -1 for u in comp}
 
     def enumerate_assignments(self, limit: int = 0) -> SolutionSet:
         """Every represented assignment: frozen spins fixed, all active edges
         covered, double edges opposite, each component at its minimum covered
         count (the structure represents a single energy level). limit=0 means
         unlimited; a hit limit yields a truncated set."""
-        n = self.graph.n
-        base = [1] * n
-        for u in range(n):
-            if self.active[u] and self.state[u] == NEG_FROZEN:
-                base[u] = -1
-        cap = limit + 1 if limit else 0
+        base = [-1 if st == NEG_FROZEN else 1 for st in self.state]
         comp_sols = []
         for comp in self.unfrozen_components():
             sols = self._component_assignments(comp)
@@ -927,28 +904,23 @@ class ReducedSolutionGraph:
                 )
             counts = [sum(1 for v in s.values() if v == -1) for s in sols]
             floor = min(counts)
-            sols = [s for s, cnt in zip(sols, counts) if cnt == floor]
-            comp_sols.append(sols)
+            comp_sols.append([s for s, cnt in zip(sols, counts) if cnt == floor])
 
         assignments: list[Assignment] = []
+        truncated = False
         # first component outermost, last varying fastest
         for combo in itertools.product(*comp_sols):
+            if limit and len(assignments) == limit:
+                truncated = True
+                break
             spins = list(base)
             for sol in combo:
                 for u, v in sol.items():
                     spins[u] = v
-            cover = sum(1 for u in range(n) if self.active[u] and spins[u] == -1)
-            assignments.append(Assignment(spin=tuple(spins), cover_size=cover))
-            if cap and len(assignments) >= cap:
-                break
-        truncated = bool(limit) and len(assignments) > limit
-        if truncated:
-            assignments = assignments[:limit]
-        sizes = {a.cover_size for a in assignments}
-        min_size = min(sizes) if sizes else 0
+            assignments.append(Assignment(spin=tuple(spins), cover_size=spins.count(-1)))
         return SolutionSet(
             assignments=tuple(assignments),
-            min_cover_size=min_size,
+            min_cover_size=min((a.cover_size for a in assignments), default=0),
             complete=not truncated,
             truncated=truncated,
         )

@@ -1,9 +1,12 @@
-"""One SHA-256 digest over the solver's outputs on a fixed corpus.
+"""Two SHA-256 digests over the solver's outputs on a fixed corpus.
 
-The digest covers the cover size, the case counts, the kept cover's spins,
-the per-node trace and the RSG JSON of every graph below. A change that moves
-it changes what `run_mbea` computes on some graph: if that is intended, put
-the new digest in GOLDEN and say in CHANGES.md why the outputs moved.
+GOLDEN covers the cover size, the case counts, the kept cover's spins, the
+per-node trace and the RSG JSON of every graph below. SPACE_GOLDEN covers the
+represented space of every corpus graph of at most 40 nodes: the minimum
+cover size, the truncation flag and every assignment's spins, in order, of
+`enumerate_assignments(limit=4096)`. A change that moves either changes what
+`run_mbea` computes on some graph: if that is intended, put the new digest in
+the constant and say in CHANGES.md why the outputs moved.
 """
 
 import hashlib
@@ -15,6 +18,7 @@ from mbea.graphs import GenConfig, cycle_graph, generate_er, path_graph
 from mbea.solver import CASES, run_mbea
 
 GOLDEN = "df765bdda904a406a9db8c3d95f7a4025fb3dec3a8e9a751117ad6d9eda8e0ad"
+SPACE_GOLDEN = "47cb20325351d7bf4e0ec8ebc9f79bfd23ba987e0abd5f7780a61419af56105c"
 
 
 def corpus():
@@ -32,9 +36,11 @@ def corpus():
         yield f"er 1000 {c} 5", generate_er(GenConfig(1000, c, 5))
 
 
-def outputs_digest() -> tuple[str, Counter]:
-    """The digest, and how often the corpus ran each case."""
+def outputs_digest() -> tuple[str, str, Counter]:
+    """The outputs digest, the space digest, and how often the corpus ran
+    each case."""
     h = hashlib.sha256()
+    space = hashlib.sha256()
     totals: Counter = Counter()
     for label, g in corpus():
         res = run_mbea(g, trace=True)
@@ -44,7 +50,12 @@ def outputs_digest() -> tuple[str, Counter]:
         for e in res.trace:
             h.update(f"{e.node} {e.case} {e.affected}\n".encode())
         h.update(res.rsg.export_json().encode())
-    return h.hexdigest(), totals
+        if g.n <= 40:
+            sols = res.rsg.enumerate_assignments(limit=4096)
+            space.update(f"{label}\n{sols.min_cover_size} {sols.truncated}\n".encode())
+            for a in sols.assignments:
+                space.update(f"{a.spin}\n".encode())
+    return h.hexdigest(), space.hexdigest(), totals
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +67,10 @@ def test_outputs_match_golden_digest(outputs):
     assert outputs[0] == GOLDEN
 
 
+def test_represented_spaces_match_golden_digest(outputs):
+    assert outputs[1] == SPACE_GOLDEN
+
+
 def test_corpus_runs_every_case(outputs):
     """The digest covers every branch of the case dispatch."""
-    assert all(outputs[1][c] > 0 for c in CASES), outputs[1]
+    assert all(outputs[2][c] > 0 for c in CASES), outputs[2]

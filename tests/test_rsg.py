@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -63,6 +64,24 @@ def test_compatible_order_independence():
     for trial in range(100):
         rng = random.Random(trial)
         assert rsg.compatible_minus_one([0, 4], rng=rng) == baseline
+
+
+def test_conflicting_extension_leaves_the_kept_assignment():
+    """keep mode extends the assignment the tags hold; an extension that
+    sets literals of its own and then conflicts clears them again."""
+    # {0, 1} holds the kept assignment; in {2, 3}, -2 forces +3 across the
+    # double edge, and +3 meets the uncovered frozen node 4
+    g = Graph(5, [(0, 1), (2, 3), (3, 4)])
+    rsg = ReducedSolutionGraph.from_parts(
+        g, states={4: POS_FROZEN}, marks={4: 4}, doubles=[(2, 3)]
+    )
+    assert rsg._close(((0, 1),)) == [0, ~1]
+    kept = list(rsg._ptag)
+    assert rsg._close(((2, -1),), keep=True) is None
+    assert rsg._ptag == kept
+    assert rsg._close(((2, 1),), keep=True) == [2, ~3]
+    tag = rsg._tag
+    assert rsg._ptag == [tag, -tag, tag, -tag, kept[4]]
 
 
 # ------------------------------------------------------------------ freezing
@@ -366,9 +385,9 @@ def test_chain_sweep_probes_each_literal_once(monkeypatch, kind, n):
     close = ReducedSolutionGraph._close
     probes = [0]
 
-    def counting_close(self, seeds, rng=None, virt=(), certify=False):
-        probes[0] += certify
-        return close(self, seeds, rng, virt, certify)
+    def counting_close(self, seeds, **kw):
+        probes[0] += kw.get("certify", False)
+        return close(self, seeds, **kw)
 
     monkeypatch.setattr(ReducedSolutionGraph, "_close", counting_close)
     run_mbea(path_graph(n) if kind == "path" else cycle_graph(n))
@@ -429,6 +448,35 @@ def test_enumerate_many_components_does_not_recurse():
     sols = rsg.enumerate_assignments(limit=1)
     assert sols.truncated and len(sols.assignments) == 1
     assert sols.assignments[0].cover_size == 2 * cycles
+
+
+def _brute_assignments(rsg, order):
+    """Every assignment in {+1, -1}^order that covers each active edge at a
+    node of order and gives each double edge opposite spins, frozen
+    neighbours at their frozen spins; +1 before -1, the first node of order
+    varying slowest (the depth-first search's order)."""
+    fixed = {u: 1 if st == POS_FROZEN else -1 for u, st in enumerate(rsg.state) if st}
+    out = []
+    for spins in itertools.product((1, -1), repeat=len(order)):
+        spin = {**fixed, **dict(zip(order, spins))}
+        if all(
+            spin[u] == -1 or spin[w] == -1
+            for u in order
+            for w in rsg.graph.adjacency[u]
+            if rsg.active[w]
+        ) and all(spin[u] == -spin[w] for u in order for w in rsg.double_adj[u]):
+            out.append(dict(zip(order, spins)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12))
+def test_component_assignments_match_brute_force(g):
+    rsg = run_mbea(g).rsg
+    rank = rsg.ranks.rank
+    for comp in rsg.unfrozen_components():
+        order = sorted(comp, key=lambda u: (rank[u], u))
+        assert rsg._component_assignments(comp) == _brute_assignments(rsg, order)
 
 
 # -------------------------------------------------------------- minimisation
