@@ -9,8 +9,10 @@ config, independent of the worker count.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import statistics
 import time
 from dataclasses import asdict, astuple, dataclass
 from multiprocessing import Pool
@@ -36,12 +38,15 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        """Raise ValueError unless every (c, n) grid point can be drawn."""
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
-        if any(c < 0 for c in self.c_grid):
-            raise ValueError("mean degrees must be >= 0")
         if not self.c_grid or not self.n_grid:
             raise ValueError("empty grid")
+        for c, n in itertools.product(self.c_grid, self.n_grid):
+            if n < 1:
+                raise ValueError(f"n must be >= 1, got {n}")
+            GenConfig(n=n, mean_degree=c, seed=0).validate()
 
 
 @dataclass(frozen=True)
@@ -174,22 +179,15 @@ def rows_to_json(rows) -> str:
     return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
 
 
-def median_runtime(n: int, c: float, seeds, repeats: int = 1) -> float:
+def median_runtime(n: int, c: float, seeds) -> float:
     """Median wall time of run_mbea (including rank assignment) over seeds."""
     times = []
     for seed in seeds:
         g = generate_er(GenConfig(n=n, mean_degree=c, seed=seed))
-        best = math.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            run_mbea(g)
-            best = min(best, time.perf_counter() - t0)
-        times.append(best)
-    times.sort()
-    mid = len(times) // 2
-    if len(times) % 2:
-        return times[mid]
-    return 0.5 * (times[mid - 1] + times[mid])
+        t0 = time.perf_counter()
+        run_mbea(g)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def fit_loglog_slope(points) -> float:

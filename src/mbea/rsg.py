@@ -9,10 +9,12 @@ compactly represents a set of equal-size vertex covers:
       every active edge has at least one -1 endpoint, and
       the endpoints of a double edge take opposite spins (exactly one covered).
 
-Frozen nodes carry a mark: the id of the node whose addition rooted the
-freezing cascade (the root marks itself). Marks make cascades reversible:
-releasing walks mark-equal neighbours and unfreezes them, except covered
-nodes still pinned by a foreign uncovered neighbour (the checking rule).
+Frozen nodes carry a mark: the id of the root of the cascade that froze them.
+The structure changes through two verbs only: freezing(i, state) roots a
+cascade (a backbone) at i and freezes what it forces, and releasing(nodes)
+unfreezes a cascade's nodes when a mutual-determination forms. release_set
+picks them by mark, except covered nodes still pinned by a foreign uncovered
+neighbour (the checking rule).
 
 Spin propagation implements the two rules as implications:
   x = +1  =>  every active neighbour of x is -1
@@ -138,10 +140,11 @@ class ReducedSolutionGraph:
         act = range(graph.n) if active is None else sorted(active)
         for u in act:
             rsg.active[u] = True
-        for u in act:
-            rsg.active_adj[u] = [w for w in graph.adjacency[u] if rsg.active[w]]
         for u, st in (states or {}).items():
             rsg.state[u] = int(st)
+        for u in act:
+            aadj = rsg.active_adj[u] = [w for w in graph.adjacency[u] if rsg.active[w]]
+            rsg.pos_nbr_count[u] = sum(1 for w in aadj if rsg.state[w] == POS_FROZEN)
         for u, m in (marks or {}).items():
             rsg.mark[u] = NO_MARK if m is None else m
             if rsg.mark[u] != NO_MARK:
@@ -149,25 +152,14 @@ class ReducedSolutionGraph:
         for u, v in doubles:
             rsg.double_adj[u].append(v)
             rsg.double_adj[v].append(u)
-        rsg._recount_pos_neighbours()
         # hand-built states have no change history: let rechecking scan everything
-        rsg._recheck_candidates.update(u for u in range(graph.n) if rsg.active[u])
+        rsg._recheck_candidates.update(act)
         return rsg
-
-    def _recount_pos_neighbours(self) -> None:
-        state = self.state
-        for u in range(self.graph.n):
-            self.pos_nbr_count[u] = sum(
-                1 for w in self.active_adj[u] if state[w] == POS_FROZEN
-            )
 
     # ------------------------------------------------------- state transitions
 
-    def begin_step(self) -> None:
-        self.step_touched.clear()
-
     def activate(self, i: int) -> None:
-        """Bring node i into the active subgraph, unfrozen and unmarked."""
+        """Start a step: node i joins the active subgraph, unfrozen and unmarked."""
         if self.active[i]:
             raise ValueError(f"node {i} already active")
         active, aadj = self.active, self.active_adj
@@ -179,7 +171,7 @@ class ReducedSolutionGraph:
         self.state[i] = UNFROZEN
         self.mark[i] = NO_MARK
         self.pos_nbr_count[i] = sum(1 for w in nbrs if self.state[w] == POS_FROZEN)
-        self.step_touched.add(i)
+        self.step_touched = {i}
 
     def _set_state(self, u: int, new_state: int, new_mark: int) -> None:
         old = self.state[u]
@@ -213,15 +205,6 @@ class ReducedSolutionGraph:
             and self.pos_nbr_count[u] == 1
         ):
             self._recheck_candidates.add(u)
-
-    def freeze_pos(self, i: int, mark: int) -> None:
-        self._set_state(i, POS_FROZEN, mark)
-
-    def freeze_neg(self, i: int, mark: int) -> None:
-        self._set_state(i, NEG_FROZEN, mark)
-
-    def release_one(self, i: int) -> None:
-        self._set_state(i, UNFROZEN, NO_MARK)
 
     def set_double(self, u: int, v: int) -> None:
         """Tag the existing edge (u, v) as a mutual-determination."""
@@ -337,30 +320,40 @@ class ReducedSolutionGraph:
 
     # ------------------------------------------------------- freeze and release
 
-    def freezing(self, i: int) -> list[int]:
-        """Cascade the frozen influence of i outward; the nodes frozen, i first.
+    def freezing(self, i: int, state: int) -> list[int]:
+        """Freeze the active unfrozen node i at state as the root of its own
+        cascade, and cascade its influence; the nodes frozen, i first.
 
         An uncovered node forces all unfrozen neighbours covered; a covered
         node forces its unfrozen double partners uncovered. _close walks the
-        cascade, and every node it reached is frozen with i's mark. A cascade
-        that contradicts itself raises RsgInvariantError.
+        cascade, and every node it reached is frozen with mark i. A cascade
+        that contradicts itself raises RsgInvariantError and freezes nothing.
         """
-        st, m = self.state[i], self.mark[i]
-        if st == UNFROZEN or m == NO_MARK:
-            raise ValueError(f"node {i} must be frozen and marked before freezing()")
-        work = self._close(((i, 1 if st == POS_FROZEN else -1),))
+        if not self.active[i] or self.state[i] != UNFROZEN:
+            raise ValueError(f"node {i} must be active and unfrozen to freeze")
+        work = self._close(((i, 1 if state == POS_FROZEN else -1),))
         if work is None:
             raise RsgInvariantError(f"freezing cascade of {i} contradicts itself")
-        nodes = [i]
+        nodes = []
         set_state = self._set_state
-        for lit in work[1:]:
+        for lit in work:
             if lit < 0:
                 lit = ~lit
-                set_state(lit, NEG_FROZEN, m)
+                set_state(lit, NEG_FROZEN, i)
             else:
-                set_state(lit, POS_FROZEN, m)
+                set_state(lit, POS_FROZEN, i)
             nodes.append(lit)
         return nodes
+
+    def releasing(self, nodes) -> None:
+        """Unfreeze the given frozen nodes, clearing their marks.
+
+        The order does not matter: a release only inserts into sets and
+        moves the uncovered-neighbour counts up or down.
+        """
+        set_state = self._set_state
+        for x in nodes:
+            set_state(x, UNFROZEN, NO_MARK)
 
     def has_foreign_pos_neighbour(self, j: int, root_mark: int) -> bool:
         state, mark = self.state, self.mark
@@ -403,26 +396,18 @@ class ReducedSolutionGraph:
         """
         return self._close(((i, 1),), virt=released) is None
 
-    def releasing(self, i: int, root_mark: int) -> None:
-        """Undo the cascade carrying root_mark, starting from i (release_set)."""
-        if not self.active[i]:
-            raise ValueError(f"node {i} is not active")
-        for x in self.release_set((i,), root_mark):
-            if self.state[x] != UNFROZEN:
-                self.release_one(x)
-
     def rechecking(self) -> None:
         """Release covered backbones that lost all but one uncovered neighbour.
 
         A cascade-frozen covered node u whose only remaining uncovered
         neighbour v belongs to the same cascade is not forced after all: the
         cascade flip carries both, so u and v form a mutual-determination.
-        Both are released with a double edge, and so is every other member
-        of u's old cascade, except covered ones still pinned by a foreign
-        uncovered neighbour (the checking rule). A foreign uncovered
-        neighbour must not be released this way: its own cascade still pins
-        it, and unfreezing it collapses the energy level. Repeats until no
-        node qualifies, scanning ascending (rank, id).
+        Every member of u's old cascade is released, u and v too (neither is
+        pinned), except covered ones still pinned by a foreign uncovered
+        neighbour (the checking rule); then (u, v) becomes double. A foreign
+        uncovered neighbour must not be released this way: its own cascade
+        still pins it, and unfreezing it collapses the energy level. Repeats
+        until no node qualifies, scanning ascending (rank, id).
         """
         rank = self.ranks.rank
         state, mark = self.state, self.mark
@@ -440,16 +425,12 @@ class ReducedSolutionGraph:
             v = next(w for w in self.active_adj[u] if state[w] == POS_FROZEN)
             if mark[v] != m:
                 continue
-            self.release_one(u)
-            self.release_one(v)
-            self.set_double(u, v)
-            free = [
+            self.releasing([
                 w
-                for w in self._mark_members.get(m, ())
+                for w in self._mark_members[m]
                 if state[w] != NEG_FROZEN or not self.has_foreign_pos_neighbour(w, m)
-            ]
-            for w in free:
-                self.release_one(w)
+            ])
+            self.set_double(u, v)
             # merge candidates created by the releases into the live scan
             for x in self._recheck_candidates:
                 heapq.heappush(heap, (rank[x], x))
@@ -613,8 +594,7 @@ class ReducedSolutionGraph:
         def freeze(u: int, new_state: int) -> None:
             # freezing removes implications, so passes stay valid; only the
             # slack conditions of bystanders need a second look
-            self._set_state(u, new_state, u)
-            for x in self.freezing(u):
+            for x in self.freezing(u, new_state):
                 for w in aadj[x]:
                     if state[w] == UNFROZEN:
                         heapq.heappush(heap, rank[w] * n + w)
@@ -907,11 +887,11 @@ class ReducedSolutionGraph:
             comp_sols.append([s for s, cnt in zip(sols, counts) if cnt == floor])
 
         assignments: list[Assignment] = []
-        truncated = False
+        complete = True
         # first component outermost, last varying fastest
         for combo in itertools.product(*comp_sols):
             if limit and len(assignments) == limit:
-                truncated = True
+                complete = False
                 break
             spins = list(base)
             for sol in combo:
@@ -921,8 +901,7 @@ class ReducedSolutionGraph:
         return SolutionSet(
             assignments=tuple(assignments),
             min_cover_size=min((a.cover_size for a in assignments), default=0),
-            complete=not truncated,
-            truncated=truncated,
+            complete=complete,
         )
 
     # ------------------------------------------------------------------ export

@@ -15,8 +15,10 @@ neighbours, plus a simultaneity check on its unfrozen neighbours):
       (positively frozen) and its freezing influence cascades.
   incompatible unfrozen neighbours -> case D: i is covered.
 
-_dispatch classifies and applies each addition. run_mbea then ends every
-step with odd-cycle breaking, preceded by the rechecking sweep after A and E.
+_dispatch classifies each addition and applies it with the reduced solution
+graph's two verbs: releasing for A and E, freezing for B, C and D. run_mbea
+then ends every step with odd-cycle breaking, preceded by the rechecking
+sweep after A and E.
 """
 
 from __future__ import annotations
@@ -80,17 +82,15 @@ def _dispatch(rsg: ReducedSolutionGraph, i: int) -> str:
             released = rsg.release_set(pos_nbrs, m)
             if not rsg.would_refreeze(i, released):
                 rsg.set_double(i, max(pos_nbrs, key=lambda p: (rank[p], p)))
-                for x in released:
-                    rsg.release_one(x)
+                rsg.releasing(released)
                 return "A" if single else "E"
-        rsg.freeze_neg(i, i)
+        rsg.freezing(i, NEG_FROZEN)
         return "D" if single else "B"
 
     if rsg.compatible_minus_one(unfrozen_nbrs):
-        rsg.freeze_pos(i, i)
-        rsg.freezing(i)
+        rsg.freezing(i, POS_FROZEN)
         return "C"
-    rsg.freeze_neg(i, i)
+    rsg.freezing(i, NEG_FROZEN)
     return "D"
 
 
@@ -116,7 +116,6 @@ def run_mbea(
     trace_list: list[TraceEntry] | None = [] if trace else None
     case_counts = {c: 0 for c in CASES}
     for i in order:
-        rsg.begin_step()
         rsg.activate(i)
         label = _dispatch(rsg, i)
         # A and E release a cascade and add implications: recheck, then probe

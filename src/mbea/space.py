@@ -34,7 +34,11 @@ class SolutionSet:
     assignments: tuple[Assignment, ...]
     min_cover_size: int
     complete: bool
-    truncated: bool = False
+
+    @property
+    def truncated(self) -> bool:
+        """A limit stopped the listing: the same as not complete."""
+        return not self.complete
 
     def covers(self) -> set[frozenset[int]]:
         return {a.covered() for a in self.assignments}

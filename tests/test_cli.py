@@ -172,6 +172,27 @@ def test_exp_error_runs(capsys):
     assert out.splitlines()[0].startswith("c,n,instances")
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--c", "1", "--n", "0"],
+        ["--c", "1", "--n", "-5"],
+        ["--c", "3", "--n", "2"],
+        ["--c", "1", "--c", "3", "--n", "20", "--n", "2"],
+    ],
+    ids=["n-zero", "n-negative", "too-dense", "one-bad-point"],
+)
+def test_experiment_rejects_bad_grid_point(grid, monkeypatch, capsys):
+    def no_instance(task):
+        raise AssertionError(f"instance {task} ran")
+
+    monkeypatch.setattr("mbea.experiments._run_instance", no_instance)
+    assert main(["exp-backbones", *grid, "--instances", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mbea: ") and len(captured.err.splitlines()) == 1
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mbea", "gen", "--n", "6", "--c", "1.0"],

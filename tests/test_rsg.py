@@ -89,8 +89,9 @@ def test_conflicting_extension_leaves_the_kept_assignment():
 
 def test_freezing_one_level():
     g = Graph(3, [(0, 1), (0, 2)])
-    rsg = ReducedSolutionGraph.from_parts(g, states={0: POS_FROZEN}, marks={0: 0})
-    assert rsg.freezing(0) == [0, 1, 2]
+    rsg = all_unfrozen(g)
+    assert rsg.freezing(0, POS_FROZEN) == [0, 1, 2]
+    assert rsg.state[0] == POS_FROZEN and rsg.mark[0] == 0
     assert rsg.state[1] == NEG_FROZEN and rsg.mark[1] == 0
     assert rsg.state[2] == NEG_FROZEN and rsg.mark[2] == 0
 
@@ -98,10 +99,8 @@ def test_freezing_one_level():
 def test_freezing_chain_through_double():
     # i(+1) -plain- a =double= b -plain- c
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    rsg = ReducedSolutionGraph.from_parts(
-        g, states={0: POS_FROZEN}, marks={0: 0}, doubles=[(1, 2)]
-    )
-    rsg.freezing(0)
+    rsg = all_unfrozen(g, doubles=[(1, 2)])
+    rsg.freezing(0, POS_FROZEN)
     assert rsg.state[1] == NEG_FROZEN
     assert rsg.state[2] == POS_FROZEN
     assert rsg.state[3] == NEG_FROZEN
@@ -110,28 +109,45 @@ def test_freezing_chain_through_double():
 
 def test_freezing_covered_node_without_doubles_is_noop():
     g = Graph(3, [(0, 1), (0, 2)])
-    rsg = ReducedSolutionGraph.from_parts(g, states={0: NEG_FROZEN}, marks={0: 0})
-    rsg.freezing(0)
+    rsg = all_unfrozen(g)
+    assert rsg.freezing(0, NEG_FROZEN) == [0]
+    assert rsg.state[0] == NEG_FROZEN and rsg.mark[0] == 0
     assert rsg.state[1] == UNFROZEN and rsg.state[2] == UNFROZEN
 
 
 def test_freezing_contradicting_cascade_raises():
     # 0 uncovered forces both ends of the double edge (1, 2) covered
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    rsg = ReducedSolutionGraph.from_parts(
-        g, states={0: POS_FROZEN}, marks={0: 0}, doubles=[(1, 2)]
-    )
+    rsg = all_unfrozen(g, doubles=[(1, 2)])
     with pytest.raises(RsgInvariantError):
-        rsg.freezing(0)
+        rsg.freezing(0, POS_FROZEN)
+    assert rsg.state == [UNFROZEN] * 3
+
+
+@pytest.mark.parametrize("node", [0, 1])
+def test_freezing_refuses_a_frozen_or_inactive_node(node):
+    # node 0 is frozen, node 1 inactive
+    g = Graph(2, [(0, 1)])
+    rsg = ReducedSolutionGraph.from_parts(
+        g, states={0: POS_FROZEN}, marks={0: 0}, active={0}
+    )
+    with pytest.raises(ValueError):
+        rsg.freezing(node, NEG_FROZEN)
+    assert rsg.state == [POS_FROZEN, UNFROZEN] and rsg.mark == [0, -1]
 
 
 # ----------------------------------------------------------------- releasing
 
 
+def release_cascade(rsg, root):
+    """Release the cascade rooted at root, as cases A and E do."""
+    rsg.releasing(rsg.release_set((root,), root))
+
+
 def test_releasing_without_marked_neighbours():
     g = Graph(3, [(0, 1), (0, 2)])
     rsg = ReducedSolutionGraph.from_parts(g, states={0: POS_FROZEN}, marks={0: 0})
-    rsg.releasing(0, 0)
+    release_cascade(rsg, 0)
     assert rsg.state[0] == UNFROZEN and rsg.mark[0] == -1
     assert rsg.state[1] == UNFROZEN and rsg.state[2] == UNFROZEN
 
@@ -144,7 +160,7 @@ def test_releasing_checking_technique_blocks():
         states={0: POS_FROZEN, 1: NEG_FROZEN, 2: POS_FROZEN},
         marks={0: 0, 1: 0, 2: 2},
     )
-    rsg.releasing(0, 0)
+    release_cascade(rsg, 0)
     assert rsg.state[0] == UNFROZEN
     assert rsg.state[1] == NEG_FROZEN  # still pinned by node 2
     assert rsg.state[2] == POS_FROZEN
@@ -152,11 +168,9 @@ def test_releasing_checking_technique_blocks():
 
 def test_releasing_full_cascade():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    rsg = ReducedSolutionGraph.from_parts(
-        g, states={0: POS_FROZEN}, marks={0: 0}, doubles=[(1, 2)]
-    )
-    rsg.freezing(0)
-    rsg.releasing(0, 0)
+    rsg = all_unfrozen(g, doubles=[(1, 2)])
+    rsg.freezing(0, POS_FROZEN)
+    release_cascade(rsg, 0)
     assert all(rsg.state[u] == UNFROZEN for u in range(4))
 
 
@@ -168,15 +182,13 @@ def test_freeze_release_roundtrip_on_trees(g):
     for u in range(g.n):
         rsg.activate(u)
     root = 0
-    rsg.freeze_pos(root, root)
-    rsg.freezing(root)
+    rsg.freezing(root, POS_FROZEN)
     before = (list(rsg.state), list(rsg.mark))
-    rsg.releasing(root, root)
+    release_cascade(rsg, root)
     assert all(rsg.state[u] == UNFROZEN for u in range(g.n))
     assert all(rsg.mark[u] == -1 for u in range(g.n))
     # freezing again reproduces the same cascade
-    rsg.freeze_pos(root, root)
-    rsg.freezing(root)
+    rsg.freezing(root, POS_FROZEN)
     assert (list(rsg.state), list(rsg.mark)) == before
 
 
@@ -368,8 +380,7 @@ def test_failed_chain_head_is_forgotten_when_the_sweep_ends():
     )
     rsg.break_odd_cycles({0, 1, 2, 3})
     assert rsg.state[:3] == [UNFROZEN, UNFROZEN, NEG_FROZEN]
-    rsg.release_one(3)
-    rsg.release_one(2)
+    rsg.releasing([3, 2])
     rsg.break_odd_cycles({2, 3})
     assert rsg.state == [UNFROZEN] * 4
     assert rsg.edge_kind(2, 3) == "double"

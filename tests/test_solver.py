@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,6 +12,10 @@ from mbea.solver import cover_from_rsg, run_mbea
 from mbea.space import diff_spaces
 
 from conftest import graphs, is_cover
+
+# the large-n theory references live with the benchmark, apart from the solver
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from reference import weigt_hartmann_tolerance, weigt_hartmann_x  # noqa: E402
 
 
 def test_single_edge():
@@ -115,6 +122,15 @@ def test_dense_instance_smoke():
     again = run_mbea(g)
     assert again.cover_size == first.cover_size
     assert again.rsg.state == first.rsg.state
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 2.0, 2.5])
+def test_cover_fraction_matches_weigt_hartmann_beyond_the_oracle(c):
+    """Below c=e the mean cover fraction at n=4000, far past the exact
+    oracle's reach, matches the Weigt-Hartmann x(c) of the large-n limit."""
+    n = 4000
+    xs = [run_mbea(generate_er(GenConfig(n, c, seed))).cover_size / n for seed in range(1, 11)]
+    assert abs(sum(xs) / len(xs) - weigt_hartmann_x(c)) <= weigt_hartmann_tolerance(xs, n)
 
 
 @pytest.mark.slow
