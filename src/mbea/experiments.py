@@ -12,7 +12,6 @@ import hashlib
 import itertools
 import json
 import math
-import statistics
 import time
 from dataclasses import asdict, astuple, dataclass
 from multiprocessing import Pool
@@ -187,7 +186,8 @@ def median_runtime(n: int, c: float, seeds) -> float:
         t0 = time.perf_counter()
         run_mbea(g)
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    times.sort()
+    return 0.5 * (times[(len(times) - 1) // 2] + times[len(times) // 2])
 
 
 def fit_loglog_slope(points) -> float:

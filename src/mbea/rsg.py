@@ -9,12 +9,10 @@ compactly represents a set of equal-size vertex covers:
       every active edge has at least one -1 endpoint, and
       the endpoints of a double edge take opposite spins (exactly one covered).
 
-Frozen nodes carry a mark: the id of the root of the cascade that froze them.
-The structure changes through two verbs only: freezing(i, state) roots a
-cascade (a backbone) at i and freezes what it forces, and releasing(nodes)
-unfreezes a cascade's nodes when a mutual-determination forms. release_set
-picks them by mark, except covered nodes still pinned by a foreign uncovered
-neighbour (the checking rule).
+Frozen nodes carry a mark, the root of the cascade that froze them. Two verbs
+change the structure: freezing(i, state) roots a cascade at i (a backbone) and
+freezes what it forces; releasing(nodes) unfreezes the nodes release_set picks
+by mark, sparing covered ones a foreign uncovered neighbour pins (checking rule).
 
 Spin propagation implements the two rules as implications:
   x = +1  =>  every active neighbour of x is -1

@@ -15,10 +15,9 @@ neighbours, plus a simultaneity check on its unfrozen neighbours):
       (positively frozen) and its freezing influence cascades.
   incompatible unfrozen neighbours -> case D: i is covered.
 
-_dispatch classifies each addition and applies it with the reduced solution
-graph's two verbs: releasing for A and E, freezing for B, C and D. run_mbea
-then ends every step with odd-cycle breaking, preceded by the rechecking
-sweep after A and E.
+_dispatch classifies each addition and applies it with the two RSG verbs
+(releasing for A and E, freezing for B, C and D); run_mbea ends every step with
+odd-cycle breaking, preceded by the rechecking sweep after A and E.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ class SolutionSet:
 
     @property
     def truncated(self) -> bool:
-        """A limit stopped the listing: the same as not complete."""
         return not self.complete
 
     def covers(self) -> set[frozenset[int]]:
