@@ -55,7 +55,7 @@ def main() -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    # both reports come from one ensemble (run_coverage is the same call)
+    # both reports come from one ensemble (exp-coverage runs the same call)
     rows = run_backbone_fractions(cfg)
     write(rows, args.out_dir, "backbones")
     write(rows, args.out_dir, "coverage")

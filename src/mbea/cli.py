@@ -16,7 +16,6 @@ from .experiments import (
     rows_to_csv,
     rows_to_json,
     run_backbone_fractions,
-    run_coverage,
     run_error_vs_exact,
 )
 from .graphs import GenConfig, ParseError, generate_er, parse_edge_list, write_edge_list
@@ -192,7 +191,7 @@ def main(argv=None) -> int:
         "oracle": _cmd_oracle,
         "export": _cmd_export,
         "exp-backbones": lambda a: _cmd_experiment(a, run_backbone_fractions),
-        "exp-coverage": lambda a: _cmd_experiment(a, run_coverage),
+        "exp-coverage": lambda a: _cmd_experiment(a, run_backbone_fractions),
         "exp-error": lambda a: _cmd_experiment(a, run_error_vs_exact),
     }
     try:

@@ -152,12 +152,7 @@ def run_ensemble(cfg: ExperimentConfig, with_oracle: bool) -> list[ReportRow]:
 
 
 def run_backbone_fractions(cfg: ExperimentConfig) -> list[ReportRow]:
-    """Mean state fractions per mean degree (no oracle)."""
-    return run_ensemble(cfg, with_oracle=False)
-
-
-def run_coverage(cfg: ExperimentConfig) -> list[ReportRow]:
-    """Mean and standard error of the coverage ratio x = cover / n."""
+    """Mean state fractions and coverage ratio x = cover / n (no oracle)."""
     return run_ensemble(cfg, with_oracle=False)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt
+from math import isfinite, isqrt
 from typing import Iterable
 
 
@@ -90,8 +90,8 @@ class GenConfig:
     def validate(self) -> None:
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.mean_degree < 0:
-            raise ValueError(f"mean_degree must be >= 0, got {self.mean_degree}")
+        if not (isfinite(self.mean_degree) and self.mean_degree >= 0):
+            raise ValueError(f"mean_degree must be finite and >= 0, got {self.mean_degree}")
         max_m = self.n * (self.n - 1) // 2
         if self.edge_count() > max_m:
             raise ValueError(

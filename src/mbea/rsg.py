@@ -133,23 +133,17 @@ class ReducedSolutionGraph:
         active: set[int] | None = None,
         ranks: RankAssignment | None = None,
     ) -> "ReducedSolutionGraph":
-        """Build an RSG in a given state, mainly for tests."""
+        """Build an RSG in a given state, mainly for tests, through the same
+        verbs the evolution uses."""
         rsg = cls(graph, ranks)
         act = range(graph.n) if active is None else sorted(active)
         for u in act:
-            rsg.active[u] = True
-        for u, st in (states or {}).items():
-            rsg.state[u] = int(st)
-        for u in act:
-            aadj = rsg.active_adj[u] = [w for w in graph.adjacency[u] if rsg.active[w]]
-            rsg.pos_nbr_count[u] = sum(1 for w in aadj if rsg.state[w] == POS_FROZEN)
-        for u, m in (marks or {}).items():
-            rsg.mark[u] = NO_MARK if m is None else m
-            if rsg.mark[u] != NO_MARK:
-                rsg._mark_members[rsg.mark[u]].add(u)
+            rsg.activate(u)
+        states, marks = states or {}, marks or {}
+        for u in sorted(states.keys() | marks.keys()):
+            rsg._set_state(u, int(states.get(u, UNFROZEN)), marks.get(u, NO_MARK))
         for u, v in doubles:
-            rsg.double_adj[u].append(v)
-            rsg.double_adj[v].append(u)
+            rsg.set_double(u, v)
         # hand-built states have no change history: let rechecking scan everything
         rsg._recheck_candidates.update(act)
         return rsg
@@ -406,6 +400,11 @@ class ReducedSolutionGraph:
         uncovered neighbour must not be released this way: its own cascade
         still pins it, and unfreezing it collapses the energy level. Repeats
         until no node qualifies, scanning ascending (rank, id).
+
+        Candidates accumulate across steps: _set_state records them on every
+        change, but run_mbea calls this only after cases A and E, so most
+        fires act on candidates that earlier B, C and D steps and closure
+        sweeps left, far from the current step's changes.
         """
         rank = self.ranks.rank
         state, mark = self.state, self.mark
@@ -539,10 +538,12 @@ class ReducedSolutionGraph:
           mutual-determination; the edge to w becomes double.
 
         Every rule application freezes a node or adds a double edge, so the
-        fixed point is reached in finitely many events. A step that only
-        froze nodes (additions=False) removed implications and cannot create
-        new propagation conflicts, so the two probes are skipped until the
-        sweep's own slack rule adds a double edge.
+        fixed point is reached in finitely many events. The probe passes
+        alone decide which literals are probed. Every sweep probes each node
+        whose passes _affected_unfrozen cleared, so every unfrozen node holds
+        its passes when a sweep ends; a step that only froze nodes
+        (additions=False) clears none, and seeds only the unfrozen
+        neighbours of what it froze, for the slack rules.
 
         A conflict-free probe records every literal it assigned as passing
         (_okp/_okn), and a passing literal is not probed again, in this sweep
@@ -574,17 +575,12 @@ class ReducedSolutionGraph:
         n = self.graph.n
         state, aadj, dadj = self.state, self.active_adj, self.double_adj
         okp, okn = self._okp, self._okn
-        probe = additions
         if additions:
             seeds = self._affected_unfrozen(touched)
         else:
-            seeds = set()
-            for x in touched:
-                if self.active[x] and state[x] == UNFROZEN:
-                    seeds.add(x)
-                for w in aadj[x]:
-                    if state[w] == UNFROZEN:
-                        seeds.add(w)
+            # a freeze-only step touched frozen nodes only: the slack
+            # conditions of their unfrozen neighbours are what changed
+            seeds = {w for x in touched for w in aadj[x] if state[w] == UNFROZEN}
         # integer keys rank*n + id pop in ascending (rank, id) order
         heap = [rank[u] * n + u for u in seeds]
         heapq.heapify(heap)
@@ -609,7 +605,7 @@ class ReducedSolutionGraph:
             u = key % n
             if state[u] != UNFROZEN:
                 continue
-            if probe and not okp[u]:
+            if not okp[u]:
                 # climbs through a partner of higher degree mostly went
                 # nowhere and cost small dense graphs time
                 if len(dadj[u]) == 1 and len(aadj[dadj[u][0]]) == 2 and u not in failed:
@@ -623,7 +619,7 @@ class ReducedSolutionGraph:
             # -1 propagates only through double partners (all active); without
             # any the cone is trivially the node itself
             if dadj[u]:
-                if probe and not okn[u] and self._close(((u, -1),), certify=True) is None:
+                if not okn[u] and self._close(((u, -1),), certify=True) is None:
                     freeze(u, POS_FROZEN)
                 continue
             # frozen neighbours here are all covered (an uncovered one
@@ -635,7 +631,6 @@ class ReducedSolutionGraph:
                 freeze(u, POS_FROZEN)
             else:
                 self.set_double(u, unfrozen_nbrs[0])
-                probe = True
                 # u is among the affected nodes and must be handled again
                 last = -1
                 for x in self._affected_unfrozen({u, unfrozen_nbrs[0]}):
@@ -786,8 +781,8 @@ class ReducedSolutionGraph:
         return min(plus[root], minus[root]), spins
 
     def min_component_assignment(self, comp):
-        """Deterministic assignment with the component's minimum covered
-        count, +1 preferred on ties.
+        """Deterministic assignment with the minimum covered count of one
+        connected unfrozen component, +1 preferred on ties.
 
         Tree pieces go through linear dynamic programming, a clean tree
         component in a single pass. Cyclic pieces split recursively:
@@ -798,13 +793,10 @@ class ReducedSolutionGraph:
         to the first satisfying assignment; minimality is then heuristic,
         which only happens on large leaf-removal cores.
         """
-        comp_set = frozenset(comp)
-        pieces = self._pieces(comp_set)
+        ((piece, edges, branch_node, clean),) = self._pieces(frozenset(comp))
         # most sparse-graph components: skip the memo and search closures
-        if len(pieces) == 1:
-            piece, edges, _, clean = pieces[0]
-            if clean and edges == len(piece) - 1:
-                return self._tree_solve(piece)[1]
+        if clean and edges == len(piece) - 1:
+            return self._tree_solve(piece)[1]
         memo: dict[frozenset, tuple] = {}
         budget = [_WORK_BUDGET]
         tags = self._ptag
@@ -843,17 +835,16 @@ class ReducedSolutionGraph:
 
         try:
             # a large cycle space cannot finish within the branch budget anyway
-            if sum(p[1] for p in pieces) - len(comp_set) + 1 > _MAX_CYCLE_RANK:
+            if edges - len(piece) + 1 > _MAX_CYCLE_RANK:
                 raise _BranchBudgetOut
-            for p in pieces:
-                min_count(p)
+            min_count((piece, edges, branch_node, clean))
         except _BranchBudgetOut:
             # the first satisfying assignment, ascending id with +1 preferred
             return next(self._assignments(sorted(comp)), None)
         # replay the memo's choices into the tags, extended in keep mode
         self._tag += 1
         tag = self._tag
-        stack = [p[0] for p in pieces]
+        stack = [piece]
         while stack:
             piece = stack.pop()
             _, spin, step = memo[piece]  # step: branch node, or a tree's spins

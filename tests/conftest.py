@@ -4,11 +4,18 @@ The brute-force helpers are deliberately independent of the package's own
 branch-and-bound oracle so each side checks the other.
 """
 
+import os
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from mbea.graphs import Graph
+
+# pytest finds the package through pythonpath in pyproject.toml; subprocesses
+# a test starts (python -m mbea, scripts) find it through this
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @st.composite

@@ -193,6 +193,23 @@ def test_experiment_rejects_bad_grid_point(grid, monkeypatch, capsys):
     assert captured.err.startswith("mbea: ") and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("c", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [["gen", "--n", "5"], ["exp-backbones", "--n", "10", "--instances", "1"]],
+    ids=["gen", "exp-backbones"],
+)
+def test_non_finite_mean_degree_exits_one_line(command, c):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mbea", *command, "--c", c],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert "finite" in proc.stderr
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mbea", "gen", "--n", "6", "--c", "1.0"],

@@ -13,7 +13,6 @@ from mbea.experiments import (
     rows_to_csv,
     rows_to_json,
     run_backbone_fractions,
-    run_coverage,
     run_error_vs_exact,
 )
 
@@ -40,7 +39,7 @@ def test_zero_degree_row():
 
 
 def test_single_edge_coverage_is_half():
-    rows = run_coverage(small_cfg(c_grid=(1.0,), n_grid=(2,), instances=8))
+    rows = run_backbone_fractions(small_cfg(c_grid=(1.0,), n_grid=(2,), instances=8))
     assert rows[0].x_mean == 0.5
     assert rows[0].x_stderr == 0.0
 
@@ -66,8 +65,8 @@ def test_error_budget_refusal_recorded():
 
 def test_csv_layout_and_determinism():
     cfg = small_cfg()
-    first = rows_to_csv(run_coverage(cfg))
-    second = rows_to_csv(run_coverage(cfg))
+    first = rows_to_csv(run_backbone_fractions(cfg))
+    second = rows_to_csv(run_backbone_fractions(cfg))
     assert first == second
     lines = first.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -77,13 +76,13 @@ def test_csv_layout_and_determinism():
 
 def test_worker_count_does_not_change_bytes():
     # 10 tasks: a multiple of neither worker count, so the shares are uneven
-    serial = rows_to_csv(run_coverage(small_cfg(workers=1)))
+    serial = rows_to_csv(run_backbone_fractions(small_cfg(workers=1)))
     for workers in (2, 3):
-        assert rows_to_csv(run_coverage(small_cfg(workers=workers))) == serial
+        assert rows_to_csv(run_backbone_fractions(small_cfg(workers=workers))) == serial
 
 
 def test_json_mirror_matches_rows():
-    rows = run_coverage(small_cfg())
+    rows = run_backbone_fractions(small_cfg())
     docs = json.loads(rows_to_json(rows))
     assert len(docs) == len(rows)
     assert docs[0]["c"] == rows[0].c
@@ -92,7 +91,7 @@ def test_json_mirror_matches_rows():
 
 
 def test_empty_err_fields_serialise_blank():
-    rows = run_coverage(small_cfg(c_grid=(1.0,)))
+    rows = run_backbone_fractions(small_cfg(c_grid=(1.0,)))
     line = rows_to_csv(rows).strip().split("\n")[1]
     assert line.endswith(",,")
 

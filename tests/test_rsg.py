@@ -386,6 +386,65 @@ def test_failed_chain_head_is_forgotten_when_the_sweep_ends():
     assert rsg.edge_kind(2, 3) == "double"
 
 
+def test_every_unfrozen_node_holds_its_passes_after_each_sweep(monkeypatch):
+    """The sweep probes a literal only when it has no pass, and a freeze-only
+    sweep seeds no node whose passes were cleared; so every sweep must leave
+    each active unfrozen node its +1 pass, and its -1 pass when it has a
+    double partner. Hand-built RSGs start without passes, so this is no
+    validate() check."""
+    sweep = ReducedSolutionGraph.break_odd_cycles
+
+    def checked_sweep(self, touched, additions=True):
+        sweep(self, touched, additions)
+        active, state, okp, okn, dadj = (
+            self.active, self.state, self._okp, self._okn, self.double_adj
+        )
+        missing = [
+            u
+            for u in range(self.graph.n)
+            if active[u] and state[u] == UNFROZEN and not (okp[u] and (okn[u] or not dadj[u]))
+        ]
+        assert not missing, (self.graph, additions, missing)
+
+    monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", checked_sweep)
+    graphs = [path_graph(n) for n in range(2, 40)] + [cycle_graph(n) for n in range(3, 40)]
+    graphs += _random_graphs(200, seed=11)
+    graphs += [generate_er(GenConfig(1000, c, 1)) for c in (2.0, 4.0, 6.0)]
+    for g in graphs:
+        run_mbea(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [generate_er(GenConfig(300, float(c), 3)) for c in range(1, 7)]
+    + [path_graph(60), cycle_graph(61)],
+    ids=[f"er-300-c{c}" for c in range(1, 7)] + ["path-60", "cycle-61"],
+)
+def test_from_parts_rebuilds_a_solved_rsg(g):
+    rsg = run_mbea(g).rsg
+    n = g.n
+    frozen = [u for u in range(n) if rsg.state[u] != UNFROZEN]
+    built = ReducedSolutionGraph.from_parts(
+        g,
+        states={u: rsg.state[u] for u in frozen},
+        marks={u: rsg.mark[u] for u in frozen},
+        doubles=[(u, v) for u in range(n) for v in rsg.double_adj[u] if u < v],
+        active={u for u in range(n) if rsg.active[u]},
+        ranks=rsg.ranks,
+    )
+
+    def members(r):
+        return {m: s for m, s in r._mark_members.items() if s}
+
+    assert built.state == rsg.state
+    assert built.mark == rsg.mark
+    assert built.active_adj == rsg.active_adj
+    assert built.pos_nbr_count == rsg.pos_nbr_count
+    assert members(built) == members(rsg)
+    assert [set(d) for d in built.double_adj] == [set(d) for d in rsg.double_adj]
+    built.validate(deep=True)
+
+
 @pytest.mark.parametrize(
     "kind, n", [("path", 600), ("path", 601), ("cycle", 400), ("cycle", 401)]
 )
