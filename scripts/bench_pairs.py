@@ -66,10 +66,16 @@ def quartiles(values: list[float]) -> dict:
 
 
 def tree_label() -> str:
-    """The working tree's commit, with -dirty when it has uncommitted changes."""
-    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or None
+    """The working tree's commit, with -dirty when a tracked file has
+    uncommitted changes; the BENCH_*.json files this script writes into the
+    tree do not count."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
+
+    label = git("describe", "--always")
+    if label and git("status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json"):
+        label += "-dirty"
+    return label or None
 
 
 def summarise(pairs: list[dict], metrics: list[dict]) -> dict:

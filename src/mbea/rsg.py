@@ -21,12 +21,15 @@ One kernel, _close, propagates them for the case dispatch, the closure sweep,
 the validator, freezing (which freezes what the kernel's worklist reached),
 and the searches that minimise and enumerate the unfrozen components. It runs
 iteratively on scratch tags (cascades can reach the whole graph, so no
-recursion) and never changes the represented space itself. A search keeps its
-partial assignment in the tags and extends it in _close's keep mode, which
-undoes an extension that conflicts; so nothing may call _close between two
-assignments a search takes (list() and next() are its only consumers).
+recursion) and writes nothing else; its callers act on the literals it
+returns. A search keeps its partial assignment in the tags and extends it in
+_close's keep mode, which undoes an extension that conflicts; so nothing may
+call _close between two assignments a search takes (list() and next() are its
+only consumers). One search, _pieces, splits node sets into connected pieces,
+for the minimiser and for unfrozen_components.
 
-The closure sweep probes the head of a double-edge chain before the literal
+The closure sweep records a probe's passes from the literals _close returns
+(_probe). It probes the head of a double-edge chain before the literal
 it reaches (+w implies -p implies +x, where p is x's only double partner and
 w is p's only other unpassed neighbour), the failed-literal rule of SAT
 preprocessing: one pass certifies the whole chain below the head, so a long
@@ -221,23 +224,20 @@ class ReducedSolutionGraph:
 
     # ------------------------------------------------------------- propagation
 
-    def _close(self, seeds, rng=None, virt=(), certify=False, keep=False) -> list[int] | None:
+    def _close(self, seeds, virt=(), keep=False) -> list[int] | None:
         """Close seed (node, spin) pairs under the two rules: the literals
         assigned, seeds first, or None on a conflict.
 
         Frozen nodes end the walk: an uncovered neighbour of a +1 node or a
         covered double partner of a -1 node is a conflict. Nodes in virt
         count as unfrozen whatever their state (would_refreeze's release
-        overlay). With certify set, a conflict-free closure records every
-        literal it assigned as a probe pass of the closure sweep. With rng
-        set, the worklist pops in random order (propagation is confluent, so
-        the answer must not depend on it). The represented space is never
-        changed. With keep set, the call extends the assignment left in _ptag
-        (+tag / -tag per node) instead of bumping the tag, and clears what it
-        set on a conflict: the component searches hold their partial
-        assignment this way, so nothing may call _close between two of their
-        steps. Other users: the case dispatch, the closure sweep, the
-        validator and freezing.
+        overlay). The call writes nothing but its scratch tags. With keep
+        set, it extends the assignment left in _ptag (+tag / -tag per node)
+        instead of bumping the tag, and clears what it set on a conflict: the
+        component searches hold their partial assignment this way, so nothing
+        may call _close between two of their steps. Other users: the case
+        dispatch, the closure sweep (through _probe), the validator and
+        freezing.
         """
         if not keep:
             self._tag += 1
@@ -256,11 +256,7 @@ class ReducedSolutionGraph:
                 work.append(x if val == 1 else ~x)
         else:
             # the list grows while it is walked: a breadth-first worklist
-            for head, lit in enumerate(work):
-                if rng is not None:
-                    j = rng.randrange(head, len(work))
-                    work[j], work[head] = lit, work[j]
-                    lit = work[head]
+            for lit in work:
                 if lit >= 0:
                     for w in aadj[lit]:
                         st = state[w]
@@ -289,26 +285,19 @@ class ReducedSolutionGraph:
                         continue
                 break
             else:
-                if certify:
-                    okp, okn = self._okp, self._okn
-                    for lit in work:
-                        if lit >= 0:
-                            okp[lit] = True
-                        else:
-                            okn[~lit] = True
                 return work
         if keep:
             for lit in work:
                 seen[lit if lit >= 0 else ~lit] = 0
         return None
 
-    def compatible_minus_one(self, targets, rng=None) -> bool:
+    def compatible_minus_one(self, targets) -> bool:
         """Can all targets be covered simultaneously in the represented space?"""
         targets = list(targets)
         for t in targets:
             if not self.active[t] or self.state[t] != UNFROZEN:
                 raise ValueError(f"target {t} must be active and unfrozen")
-        return self._close([(t, -1) for t in targets], rng=rng) is not None
+        return self._close([(t, -1) for t in targets]) is not None
 
     # ------------------------------------------------------- freeze and release
 
@@ -520,7 +509,21 @@ class ReducedSolutionGraph:
             x = up
         return x
 
-    def break_odd_cycles(self, touched, additions: bool = True) -> None:
+    def _probe(self, u: int, v: int) -> bool:
+        """Does u = v propagate without conflict? A pass records every
+        literal the closure assigned as passing (_okp/_okn)."""
+        work = self._close(((u, v),))
+        if work is None:
+            return False
+        okp, okn = self._okp, self._okn
+        for lit in work:
+            if lit >= 0:
+                okp[lit] = True
+            else:
+                okn[~lit] = True
+        return True
+
+    def break_odd_cycles(self, touched) -> None:
         """Freeze implied backbones and restore the single energy level.
 
         Runs four local closure rules to a fixed point over the nodes whose
@@ -541,12 +544,13 @@ class ReducedSolutionGraph:
         fixed point is reached in finitely many events. The probe passes
         alone decide which literals are probed. Every sweep probes each node
         whose passes _affected_unfrozen cleared, so every unfrozen node holds
-        its passes when a sweep ends; a step that only froze nodes
-        (additions=False) clears none, and seeds only the unfrozen
+        its passes when a sweep ends. A step whose touched nodes are all
+        frozen (cases B, C and D; after A or E the new node is unfrozen) only
+        froze nodes: it clears no pass, and seeds only the unfrozen
         neighbours of what it froze, for the slack rules.
 
-        A conflict-free probe records every literal it assigned as passing
-        (_okp/_okn), and a passing literal is not probed again, in this sweep
+        A conflict-free probe (_probe) records every literal it assigned as
+        passing, and a passing literal is not probed again, in this sweep
         or a later one, until _affected_unfrozen clears its pass. That is
         sound because freezing never adds an implication nor makes a
         still-unfrozen literal's closure fail (the freezing cascade is the
@@ -575,11 +579,11 @@ class ReducedSolutionGraph:
         n = self.graph.n
         state, aadj, dadj = self.state, self.active_adj, self.double_adj
         okp, okn = self._okp, self._okn
-        if additions:
+        if any(state[x] == UNFROZEN for x in touched):
             seeds = self._affected_unfrozen(touched)
         else:
-            # a freeze-only step touched frozen nodes only: the slack
-            # conditions of their unfrozen neighbours are what changed
+            # a freeze-only step: the slack conditions of the frozen nodes'
+            # unfrozen neighbours are what changed
             seeds = {w for x in touched for w in aadj[x] if state[w] == UNFROZEN}
         # integer keys rank*n + id pop in ascending (rank, id) order
         heap = [rank[u] * n + u for u in seeds]
@@ -610,16 +614,16 @@ class ReducedSolutionGraph:
                 # nowhere and cost small dense graphs time
                 if len(dadj[u]) == 1 and len(aadj[dadj[u][0]]) == 2 and u not in failed:
                     h = self._chain_head(u, failed)
-                    if h != u and self._close(((h, 1),), certify=True) is None:
+                    if h != u and not self._probe(h, 1):
                         failed.add(h)
                 # a failed +u has no pass: none is recorded after the failure
-                if not okp[u] and (u in failed or self._close(((u, 1),), certify=True) is None):
+                if not okp[u] and (u in failed or not self._probe(u, 1)):
                     freeze(u, NEG_FROZEN)
                     continue
             # -1 propagates only through double partners (all active); without
             # any the cone is trivially the node itself
             if dadj[u]:
-                if not okn[u] and self._close(((u, -1),), certify=True) is None:
+                if not okn[u] and not self._probe(u, -1):
                     freeze(u, POS_FROZEN)
                 continue
             # frozen neighbours here are all covered (an uncovered one
@@ -639,25 +643,11 @@ class ReducedSolutionGraph:
     # ------------------------------------------------------------- enumeration
 
     def unfrozen_components(self) -> list[list[int]]:
-        """Connected components of active unfrozen nodes (via active edges)."""
-        active, state, aadj = self.active, self.state, self.active_adj
-        seen = [False] * self.graph.n
-        comps = []
-        for s in range(self.graph.n):
-            if seen[s] or not active[s] or state[s] != UNFROZEN:
-                continue
-            comp = [s]
-            seen[s] = True
-            queue = [s]
-            while queue:
-                x = queue.pop()
-                for w in aadj[x]:
-                    if not seen[w] and state[w] == UNFROZEN:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
+        """Connected components of active unfrozen nodes (via active edges),
+        each sorted, in ascending order of their smallest node."""
+        active, state = self.active, self.state
+        free = {u for u in range(self.graph.n) if active[u] and state[u] == UNFROZEN}
+        return [sorted(piece) for piece, _, _ in self._pieces(free)]
 
     def _assignments(self, order):
         """Every constraint-satisfying assignment of the nodes in order, depth
@@ -701,26 +691,24 @@ class ReducedSolutionGraph:
         rank = self.ranks.rank
         return list(self._assignments(sorted(comp, key=lambda u: (rank[u], u))))
 
-    def _pieces(self, nodes) -> list[tuple[frozenset, int, int, bool]]:
-        """Connected pieces of a node set over graph edges, in ascending
+    def _pieces(self, nodes) -> list[tuple[frozenset, int, int]]:
+        """Connected pieces of a node set over active edges, in ascending
         order of their smallest node, each as (piece, edge count, branch
-        node, clean), found in one pass.
+        node), found in one pass: the one component search.
 
         The branch node is the highest-degree node (ties to the lowest id),
-        so cycles collapse fast. Clean means no uncovered neighbour and no
-        frozen double partner outside the piece: only inside edges constrain
-        it, as _tree_solve assumes.
+        so cycles collapse fast.
         """
-        aadj, dadj, state = self.active_adj, self.double_adj, self.state
+        aadj = self.active_adj
         left = set(nodes)
         pieces = []
-        while left:
-            s = min(left)
+        for s in sorted(left):
+            if s not in left:
+                continue
             left.discard(s)
             order = [s]
             edges = 0
             best_u = best_deg = -1
-            clean = True
             for x in order:
                 deg = 0
                 for w in aadj[x]:
@@ -729,15 +717,10 @@ class ReducedSolutionGraph:
                         if w in left:
                             left.discard(w)
                             order.append(w)
-                    elif state[w] == POS_FROZEN:
-                        clean = False
-                for w in dadj[x]:
-                    if w not in nodes and state[w] != UNFROZEN:
-                        clean = False
                 edges += deg
                 if deg > best_deg or (deg == best_deg and x < best_u):
                     best_deg, best_u = deg, x
-            pieces.append((frozenset(order), edges // 2, best_u, clean))
+            pieces.append((frozenset(order), edges // 2, best_u))
         return pieces
 
     def _tree_solve(self, nodes: frozenset):
@@ -784,8 +767,13 @@ class ReducedSolutionGraph:
         """Deterministic assignment with the minimum covered count of one
         connected unfrozen component, +1 preferred on ties.
 
-        Tree pieces go through linear dynamic programming, a clean tree
-        component in a single pass. Cyclic pieces split recursively:
+        Precondition: the RSG is closed (validate(deep=True) passes, as after
+        every sweep). Then no node of the component has an uncovered frozen
+        neighbour or a frozen double partner, and propagation leaves every
+        piece it splits off with covered outside neighbours only. So only
+        inside edges constrain a piece, and a piece with one edge fewer than
+        nodes is a tree for linear dynamic programming, the whole component
+        in a single pass when it is one. Cyclic pieces split recursively:
         assigning a high-degree node and propagating strands independent
         pieces whose minima add up, memoised per piece. Components whose
         cycle rank exceeds _MAX_CYCLE_RANK, or whose cycle structure
@@ -793,9 +781,9 @@ class ReducedSolutionGraph:
         to the first satisfying assignment; minimality is then heuristic,
         which only happens on large leaf-removal cores.
         """
-        ((piece, edges, branch_node, clean),) = self._pieces(frozenset(comp))
+        ((piece, edges, branch_node),) = self._pieces(frozenset(comp))
         # most sparse-graph components: skip the memo and search closures
-        if clean and edges == len(piece) - 1:
+        if edges == len(piece) - 1:
             return self._tree_solve(piece)[1]
         memo: dict[frozenset, tuple] = {}
         budget = [_WORK_BUDGET]
@@ -803,11 +791,11 @@ class ReducedSolutionGraph:
         TREE = 0  # sentinel spin marking a tree-solved piece, its spins kept
 
         def min_count(shaped) -> int:
-            piece, edges, branch_node, clean = shaped
+            piece, edges, branch_node = shaped
             got = memo.get(piece)
             if got is not None:
                 return got[0]
-            if clean and edges == len(piece) - 1:
+            if edges == len(piece) - 1:
                 count, spins = self._tree_solve(piece)
                 memo[piece] = (count, TREE, spins)
                 return count
@@ -837,7 +825,7 @@ class ReducedSolutionGraph:
             # a large cycle space cannot finish within the branch budget anyway
             if edges - len(piece) + 1 > _MAX_CYCLE_RANK:
                 raise _BranchBudgetOut
-            min_count((piece, edges, branch_node, clean))
+            min_count((piece, edges, branch_node))
         except _BranchBudgetOut:
             # the first satisfying assignment, ascending id with +1 preferred
             return next(self._assignments(sorted(comp)), None)

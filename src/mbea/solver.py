@@ -120,7 +120,7 @@ def run_mbea(
         # A and E release a cascade and add implications: recheck, then probe
         if label in "AE":
             rsg.rechecking()
-        rsg.break_odd_cycles(rsg.step_touched, additions=label in "AE")
+        rsg.break_odd_cycles(rsg.step_touched)
         case_counts[label] += 1
         if trace_list is not None:
             trace_list.append(TraceEntry(i, label, tuple(sorted(rsg.step_touched))))

@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 
@@ -17,7 +16,7 @@ from mbea.rsg import (
 )
 from mbea.solver import _dispatch, run_mbea
 
-from conftest import graphs, trees
+from conftest import assert_compatible_matches_brute_force, brute_assignments, graphs, trees
 
 
 def all_unfrozen(graph, doubles=()):
@@ -58,12 +57,11 @@ def test_compatible_rejects_frozen_target():
 
 
 def test_compatible_order_independence():
+    # every target set of 1-3 nodes of an alternating 8-cycle, in every order
     g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7)])
     rsg = all_unfrozen(g, doubles=[(0, 1), (2, 3), (4, 5), (6, 7)])
-    baseline = rsg.compatible_minus_one([0, 4])
-    for trial in range(100):
-        rng = random.Random(trial)
-        assert rsg.compatible_minus_one([0, 4], rng=rng) == baseline
+    sets, incompatible = assert_compatible_matches_brute_force(rsg)
+    assert sets == 8 + 28 + 56 and 0 < incompatible < sets
 
 
 def test_conflicting_extension_leaves_the_kept_assignment():
@@ -358,10 +356,10 @@ def test_probe_passes_kept_across_sweeps_match_fresh_probes(monkeypatch):
     kept += [_solved(run_mbea(g, trace=True)) for g in long_chains]
     sweep = ReducedSolutionGraph.break_odd_cycles
 
-    def fresh_sweep(self, touched, additions=True):
+    def fresh_sweep(self, touched):
         self._okp[:] = [False] * self.graph.n
         self._okn[:] = [False] * self.graph.n
-        return sweep(self, touched, additions)
+        return sweep(self, touched)
 
     monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", fresh_sweep)
     monkeypatch.setattr(ReducedSolutionGraph, "_chain_head", lambda self, x, failed: x)
@@ -394,8 +392,10 @@ def test_every_unfrozen_node_holds_its_passes_after_each_sweep(monkeypatch):
     validate() check."""
     sweep = ReducedSolutionGraph.break_odd_cycles
 
-    def checked_sweep(self, touched, additions=True):
-        sweep(self, touched, additions)
+    def checked_sweep(self, touched):
+        # read before the sweep, whose freezes join step_touched
+        kind = "additions" if any(self.state[x] == UNFROZEN for x in touched) else "freeze-only"
+        sweep(self, touched)
         active, state, okp, okn, dadj = (
             self.active, self.state, self._okp, self._okn, self.double_adj
         )
@@ -404,7 +404,7 @@ def test_every_unfrozen_node_holds_its_passes_after_each_sweep(monkeypatch):
             for u in range(self.graph.n)
             if active[u] and state[u] == UNFROZEN and not (okp[u] and (okn[u] or not dadj[u]))
         ]
-        assert not missing, (self.graph, additions, missing)
+        assert not missing, (self.graph, kind, missing)
 
     monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", checked_sweep)
     graphs = [path_graph(n) for n in range(2, 40)] + [cycle_graph(n) for n in range(3, 40)]
@@ -450,18 +450,18 @@ def test_from_parts_rebuilds_a_solved_rsg(g):
 )
 def test_chain_sweep_probes_each_literal_once(monkeypatch, kind, n):
     """On an alternating double-edge chain the closure sweep probes the chain
-    head, whose pass covers every literal below it: at most n certifying
-    probes in the whole run (nested cones probed inside out took n^2/16)."""
-    close = ReducedSolutionGraph._close
+    head, whose pass covers every literal below it: at most n probes in the
+    whole run (nested cones probed inside out took n^2/16)."""
+    probe = ReducedSolutionGraph._probe
     probes = [0]
 
-    def counting_close(self, seeds, **kw):
-        probes[0] += kw.get("certify", False)
-        return close(self, seeds, **kw)
+    def counting_probe(self, u, v):
+        probes[0] += 1
+        return probe(self, u, v)
 
-    monkeypatch.setattr(ReducedSolutionGraph, "_close", counting_close)
+    monkeypatch.setattr(ReducedSolutionGraph, "_probe", counting_probe)
     run_mbea(path_graph(n) if kind == "path" else cycle_graph(n))
-    assert probes[0] <= n
+    assert 1 <= probes[0] <= n
 
 
 # --------------------------------------------------------------- enumeration
@@ -520,25 +520,6 @@ def test_enumerate_many_components_does_not_recurse():
     assert sols.assignments[0].cover_size == 2 * cycles
 
 
-def _brute_assignments(rsg, order):
-    """Every assignment in {+1, -1}^order that covers each active edge at a
-    node of order and gives each double edge opposite spins, frozen
-    neighbours at their frozen spins; +1 before -1, the first node of order
-    varying slowest (the depth-first search's order)."""
-    fixed = {u: 1 if st == POS_FROZEN else -1 for u, st in enumerate(rsg.state) if st}
-    out = []
-    for spins in itertools.product((1, -1), repeat=len(order)):
-        spin = {**fixed, **dict(zip(order, spins))}
-        if all(
-            spin[u] == -1 or spin[w] == -1
-            for u in order
-            for w in rsg.graph.adjacency[u]
-            if rsg.active[w]
-        ) and all(spin[u] == -spin[w] for u in order for w in rsg.double_adj[u]):
-            out.append(dict(zip(order, spins)))
-    return out
-
-
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=12))
 def test_component_assignments_match_brute_force(g):
@@ -546,7 +527,7 @@ def test_component_assignments_match_brute_force(g):
     rank = rsg.ranks.rank
     for comp in rsg.unfrozen_components():
         order = sorted(comp, key=lambda u: (rank[u], u))
-        assert rsg._component_assignments(comp) == _brute_assignments(rsg, order)
+        assert rsg._component_assignments(comp) == brute_assignments(rsg, order)
 
 
 # -------------------------------------------------------------- minimisation
@@ -585,24 +566,67 @@ def test_min_component_assignment_reaches_brute_force_minimum(g):
 
 
 def test_pieces_split_and_shape():
-    # inside {0..5}: the triangle 0-1-2 with pendant 3, and the edge 4-5,
-    # whose node 5 borders the uncovered frozen node 6
+    # inside {0..5}: the triangle 0-1-2 with pendant 3, and the edge 4-5;
+    # node 5's edge to the frozen node 6 leaves the set and is not counted
     g = Graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (4, 5), (5, 6)])
     rsg = ReducedSolutionGraph.from_parts(g, states={6: POS_FROZEN}, marks={6: 6})
     assert rsg._pieces({0, 1, 2, 3, 4, 5}) == [
-        (frozenset({0, 1, 2, 3}), 4, 1, True),  # (piece, edges, branch node, clean)
-        (frozenset({4, 5}), 1, 4, False),
+        (frozenset({0, 1, 2, 3}), 4, 1),  # (piece, edges, branch node)
+        (frozenset({4, 5}), 1, 4),
     ]
 
 
 def test_min_component_assignment_tree_beside_uncovered_node():
-    # the path 1-2-3 is a tree, but its uncovered neighbour 0 forces 1
-    # covered, so it is not clean and goes through the branching search
+    """The path 1-2-3 beside the uncovered node 0 is not closed: 1 cannot
+    take +1, so the minimiser's tree pass does not apply. Closing it freezes
+    1 covered and leaves the tree 2=3, minimised to the same cover."""
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     rsg = ReducedSolutionGraph.from_parts(g, states={0: POS_FROZEN}, marks={0: 0})
-    sol = rsg.min_component_assignment([1, 2, 3])
-    _assert_minimum_assignment(rsg, [1, 2, 3], sol)
-    assert sol == {1: -1, 2: 1, 3: -1}
+    with pytest.raises(RsgInvariantError, match="cannot take \\+1"):
+        rsg.validate(deep=True)
+    rsg.break_odd_cycles({0, 1, 2, 3})
+    rsg.validate(deep=True)
+    assert rsg.state[1] == NEG_FROZEN and rsg.unfrozen_components() == [[2, 3]]
+    sol = rsg.min_component_assignment([2, 3])
+    _assert_minimum_assignment(rsg, [2, 3], sol)
+    assert sol == {2: 1, 3: -1}
+
+
+def _bfs_components(rsg):
+    """Connected components of the active unfrozen nodes by breadth-first
+    search over graph edges, each sorted, ordered by smallest node."""
+    free = {u for u in range(rsg.graph.n) if rsg.active[u] and rsg.state[u] == UNFROZEN}
+    comps = []
+    for s in sorted(free):
+        if any(s in c for c in comps):
+            continue
+        comp = {s}
+        queue = [s]
+        for x in queue:
+            for w in rsg.graph.adjacency[x]:
+                if w in free and w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        comps.append(comp)
+    return [sorted(c) for c in comps]
+
+
+def test_unfrozen_components_match_breadth_first_search():
+    """Hand-built RSGs with inactive nodes and frozen states, which the
+    solver's final RSGs (all active) never show."""
+    rng = random.Random(23)
+    checked = 0
+    for g in _random_graphs(300, seed=17):
+        active = {u for u in range(g.n) if rng.random() < 0.7}
+        frozen = [u for u in sorted(active) if rng.random() < 0.3]
+        states = {u: rng.choice((POS_FROZEN, NEG_FROZEN)) for u in frozen}
+        rsg = ReducedSolutionGraph.from_parts(
+            g, states=states, marks={u: u for u in frozen}, active=active
+        )
+        expect = _bfs_components(rsg)
+        assert rsg.unfrozen_components() == expect, g
+        checked += len(expect) > 1
+    assert checked > 100
 
 
 # -------------------------------------------------------------------- export
