@@ -29,14 +29,12 @@ only consumers). One search, _pieces, splits node sets into connected pieces,
 for the minimiser and for unfrozen_components.
 
 The closure sweep records a probe's passes from the literals _close returns
-(_probe). It probes the head of a double-edge chain before the literal
-it reaches (+w implies -p implies +x, where p is x's only double partner and
-w is p's only other unpassed neighbour), the failed-literal rule of SAT
-preprocessing: one pass certifies the whole chain below the head, so a long
-alternating chain costs n probes instead of n^2/16. A failed head is
-remembered until the sweep ends: inside a sweep, freezing and new double
-edges can only make a failing literal fail sooner, and nothing is released
-(see break_odd_cycles).
+(_probe) and keeps them across sweeps; a pass goes stale only when its node
+is touched (see break_odd_cycles). It probes the head of a double-edge chain
+before the literal it reaches (+w implies -p implies +x, where p is x's only
+double partner and w is p's only other unpassed neighbour), the
+failed-literal rule of SAT preprocessing: one pass certifies the whole chain
+below the head, so a long alternating chain costs n probes instead of n^2/16.
 """
 
 from __future__ import annotations
@@ -114,13 +112,11 @@ class ReducedSolutionGraph:
         self._recheck_candidates: set[int] = set()
         self._mark_members: defaultdict[int, set[int]] = defaultdict(set)
         # versioned scratch, reset in O(1) by bumping the tag: _close stores
-        # +tag / -tag for a node it sets to +1 / -1, _affected_unfrozen
-        # tags the +x and -x literals it reaches in _ptag and _ntag
+        # +tag / -tag for a node it sets to +1 / -1
         self._ptag = [0] * n
-        self._ntag = [0] * n
         self._tag = 0
         # probe passes of the closure sweep: +u / -u propagates without
-        # conflict; kept across sweeps until _affected_unfrozen clears them
+        # conflict; kept across sweeps until a sweep starts with u touched
         self._okp = [False] * n
         self._okn = [False] * n
 
@@ -424,75 +420,14 @@ class ReducedSolutionGraph:
 
     # --------------------------------------------------------- odd-cycle break
 
-    def _affected_unfrozen(self, touched) -> set[int]:
-        """Unfrozen nodes whose propagation cone may include a change; the
-        probe passes of every literal on the way are cleared.
-
-        Reverse-closes the implication digraph from the literals whose
-        outgoing implications changed: both literals of each touched node
-        (its -1 literal reaches the +1 literal of each unfrozen neighbour,
-        whose implication into the node changed too). Literals outside the
-        closure replay their previous (consistent) propagation unchanged and
-        keep their passes.
-
-        This is the only place passes are cleared, which is sound because:
-
-        * freezing never adds an implication, and it cannot make a
-          still-unfrozen literal's closure fail. The implication digraph is
-          skew-symmetric: the cascade that freezes x follows the
-          contrapositive of any cone through x, so it freezes that cone's
-          root too;
-        * every added implication reaches this method, which clears the
-          passes of every literal that reaches it. Implications are added by
-          an activation, a release or a new double edge, and arrive through
-          step_touched (the sweep that ends a case A or E step) or through
-          the slack rule's own call in break_odd_cycles. Cases B, C and D
-          activate their node frozen and add none.
-
-        Failures need no clearing: the sweep forgets them when it ends, and
-        inside a sweep a failing literal keeps failing (break_odd_cycles).
-        The passes a chain head's probe records are ordinary passes, every
-        one of them for a literal its walk assigned.
-        """
-        active, state = self.active, self.state
-        aadj, dadj = self.active_adj, self.double_adj
-        okp, okn = self._okp, self._okn
-        self._tag += 1
-        tag = self._tag
-        ptag, ntag = self._ptag, self._ntag
-        pos = [x for x in touched if active[x]]  # +x literals still to expand
-        neg = list(pos)  # -x literals still to expand
-        affected = set(pos)
-        for x in pos:
-            ptag[x] = ntag[x] = tag
-            okp[x] = okn[x] = False
-        while pos or neg:
-            if neg:
-                # -x is implied by +u for every neighbour u
-                for w in aadj[neg.pop()]:
-                    if ptag[w] != tag and state[w] == UNFROZEN:
-                        ptag[w] = tag
-                        okp[w] = False
-                        pos.append(w)
-                        affected.add(w)
-            else:
-                # +x is implied by -p for every double partner p
-                for w in dadj[pos.pop()]:
-                    if ntag[w] != tag and state[w] == UNFROZEN:
-                        ntag[w] = tag
-                        okn[w] = False
-                        neg.append(w)
-                        affected.add(w)
-        return {u for u in affected if state[u] == UNFROZEN}
-
-    def _chain_head(self, x: int, failed) -> int:
+    def _chain_head(self, x: int) -> int:
         """The head of the double-edge chain above the literal +x.
 
         From +x whose only double partner is p, the climb steps to +w when w
         is the only unfrozen neighbour of p, other than x, without a +1 pass:
-        +w implies -p, which implies +x. It stops at a branch, at a repeat
-        (a cycle) or before a literal in failed, and returns the last node
-        reached, x itself when no step is possible.
+        +w implies -p, which implies +x. It stops at a branch or at a repeat
+        (a cycle), and returns the last node reached, x itself when no step
+        is possible.
         """
         state, aadj, dadj, okp = self.state, self.active_adj, self.double_adj, self._okp
         seen = {x}
@@ -503,7 +438,7 @@ class ReducedSolutionGraph:
                     if up >= 0:
                         return x
                     up = w
-            if up < 0 or up in seen or up in failed:
+            if up < 0 or up in seen:
                 return x
             seen.add(up)
             x = up
@@ -526,8 +461,8 @@ class ReducedSolutionGraph:
     def break_odd_cycles(self, touched) -> None:
         """Freeze implied backbones and restore the single energy level.
 
-        Runs four local closure rules to a fixed point over the nodes whose
-        implication cones a change may have reached:
+        Runs four local closure rules to a fixed point, starting from the
+        nodes the step touched:
 
         * +1 propagates to a contradiction (an incompatible cycle of
           alternating double edges): the node is covered in every represented
@@ -541,46 +476,68 @@ class ReducedSolutionGraph:
           mutual-determination; the edge to w becomes double.
 
         Every rule application freezes a node or adds a double edge, so the
-        fixed point is reached in finitely many events. The probe passes
-        alone decide which literals are probed. Every sweep probes each node
-        whose passes _affected_unfrozen cleared, so every unfrozen node holds
-        its passes when a sweep ends. A step whose touched nodes are all
-        frozen (cases B, C and D; after A or E the new node is unfrozen) only
-        froze nodes: it clears no pass, and seeds only the unfrozen
-        neighbours of what it froze, for the slack rules.
+        fixed point is reached in finitely many events. A conflict-free probe
+        (_probe) records every literal it assigned as passing, and the passes
+        alone decide which literals are probed: a passing literal is not
+        probed again, in this sweep or a later one, until its node is
+        touched. A sweep whose touched nodes include an unfrozen one (after
+        case A or E, whose new node is unfrozen) clears the passes of the
+        touched unfrozen nodes and seeds them. A freeze-only step (cases B, C
+        and D) clears no pass and seeds the unfrozen neighbours of what it
+        froze, whose slack conditions changed. So every unfrozen node holds
+        its passes when a sweep ends.
 
-        A conflict-free probe (_probe) records every literal it assigned as
-        passing, and a passing literal is not probed again, in this sweep
-        or a later one, until _affected_unfrozen clears its pass. That is
-        sound because freezing never adds an implication nor makes a
-        still-unfrozen literal's closure fail (the freezing cascade is the
-        contrapositive of any cone through the frozen node, so it freezes the
-        cone's root too), and every added implication reaches
-        _affected_unfrozen: through `touched` at the start of a sweep after
-        an addition, or through the slack rule's own call below.
+        Why a pass stays valid until its node is touched. Before a step the
+        RSG is closed, as every sweep leaves it: every unfrozen literal
+        passes, a POS-frozen node has only NEG-frozen neighbours, and a
+        double edge is unfrozen-unfrozen or POS-NEG.
+
+        1. Freezing (cases B, C and D, and the sweep's own freezes) makes no
+           unfrozen literal fail. The implication digraph is skew-symmetric:
+           the cascade that freezes x follows the contrapositive of any cone
+           through x, so it freezes that cone's root too.
+        2. A case A or E step, rechecking included, releases nodes R and adds
+           double edges among R and the new node i. Let S be the literals
+           that give each released node its old frozen value, plus -i. S is
+           closed under implication, up to the values of nodes that stay
+           frozen: each neighbour of an old POS node r was NEG-frozen or is
+           i, so +r implies only -x for such x; each partner of an old NEG
+           node r was POS-frozen, so -r implies only +x for such x; and -i
+           implies +p for its partner p, an old POS node. So closing S
+           reaches no untouched unfrozen node and clashes with no node still
+           frozen. An untouched
+           unfrozen literal enters the touched region only through +y => -x
+           with x old-NEG or x = i, that is only into S; entering through an
+           old-POS x would have failed before the step. Its closure is its
+           old conflict-free part plus a subset of S, so it cannot fail.
+        3. The slack rule's double edge (u, w), w being u's only unfrozen
+           neighbour, adds -u => +w and -w => +u. Apart from -u itself, a
+           closure holding -u holds +w, the only unfrozen literal implying
+           -u. A closure holding -w gains at most +u, which implies only -w;
+           +u would clash only with -u, which brings +w against -w. So only
+           the closures of -u and -w change: their passes are cleared and
+           both nodes are queued again.
 
         Head first: before probing the unpassed +1 literal of a node whose
         one double partner has one other neighbour, the sweep probes the
-        head of its double-edge chain (_chain_head). The head implies the literal, so its pass certifies
-        the whole chain in one probe. A failing head goes into a per-sweep
-        set and the literal is probed itself; a node whose +1 literal is in
-        the set is frozen without a re-probe. Rank order still decides every
-        freeze, so the outputs are those of probing each literal alone. A
-        failure stays valid until the sweep ends: freezing leaves a failing
-        unfrozen literal failing or freezes it (more fixed values reach a
-        conflict no later), the sweep's only additions are double edges,
-        which only add implications, and no release happens inside a sweep.
-        Climbing from nodes with several partners, or through a first
+        head of its double-edge chain (_chain_head). The head implies the
+        literal, so its pass certifies the whole chain in one probe; when the
+        head fails, the literal is probed itself. Rank order still decides
+        every freeze, so the outputs are those of probing each literal
+        alone. Climbing from nodes with several partners, or through a first
         partner of higher degree, cost random graphs more time than it
         saved; climbing for -1 literals too (-u with one partner p is +p)
         saved no probe on chains or sparse graphs.
         """
         rank = self.ranks.rank
         n = self.graph.n
-        state, aadj, dadj = self.state, self.active_adj, self.double_adj
+        active, state = self.active, self.state
+        aadj, dadj = self.active_adj, self.double_adj
         okp, okn = self._okp, self._okn
         if any(state[x] == UNFROZEN for x in touched):
-            seeds = self._affected_unfrozen(touched)
+            seeds = [x for x in touched if active[x] and state[x] == UNFROZEN]
+            for x in seeds:
+                okp[x] = okn[x] = False
         else:
             # a freeze-only step: the slack conditions of the frozen nodes'
             # unfrozen neighbours are what changed
@@ -597,27 +554,19 @@ class ReducedSolutionGraph:
                     if state[w] == UNFROZEN:
                         heapq.heappush(heap, rank[w] * n + w)
 
-        # +h literals whose probe failed in this sweep
-        failed: set[int] = set()
-        last = -1
         while heap:
             key = heapq.heappop(heap)
-            # a repeat of the key just handled finds nothing changed
-            if key == last:
-                continue
-            last = key
             u = key % n
             if state[u] != UNFROZEN:
                 continue
             if not okp[u]:
                 # climbs through a partner of higher degree mostly went
                 # nowhere and cost small dense graphs time
-                if len(dadj[u]) == 1 and len(aadj[dadj[u][0]]) == 2 and u not in failed:
-                    h = self._chain_head(u, failed)
-                    if h != u and not self._probe(h, 1):
-                        failed.add(h)
-                # a failed +u has no pass: none is recorded after the failure
-                if not okp[u] and (u in failed or not self._probe(u, 1)):
+                if len(dadj[u]) == 1 and len(aadj[dadj[u][0]]) == 2:
+                    h = self._chain_head(u)
+                    if h != u:
+                        self._probe(h, 1)
+                if not okp[u] and not self._probe(u, 1):
                     freeze(u, NEG_FROZEN)
                     continue
             # -1 propagates only through double partners (all active); without
@@ -634,11 +583,12 @@ class ReducedSolutionGraph:
             if not unfrozen_nbrs:
                 freeze(u, POS_FROZEN)
             else:
-                self.set_double(u, unfrozen_nbrs[0])
-                # u is among the affected nodes and must be handled again
-                last = -1
-                for x in self._affected_unfrozen({u, unfrozen_nbrs[0]}):
-                    heapq.heappush(heap, rank[x] * n + x)
+                w = unfrozen_nbrs[0]
+                self.set_double(u, w)
+                # only -u and -w changed closure (part 3 above)
+                okn[u] = okn[w] = False
+                heapq.heappush(heap, key)
+                heapq.heappush(heap, rank[w] * n + w)
 
     # ------------------------------------------------------------- enumeration
 
@@ -851,6 +801,8 @@ class ReducedSolutionGraph:
         covered, double edges opposite, each component at its minimum covered
         count (the structure represents a single energy level). limit=0 means
         unlimited; a hit limit yields a truncated set."""
+        if limit < 0:
+            raise ValueError(f"limit must be at least 0, got {limit}")
         base = [-1 if st == NEG_FROZEN else 1 for st in self.state]
         comp_sols = []
         for comp in self.unfrozen_components():

@@ -333,11 +333,11 @@ def test_break_adds_double_for_pendant_pair():
     assert rsg.edge_kind(0, 1) == "double"
 
 
-def _random_graphs(count, seed):
+def _random_graphs(count, seed, max_n=40, max_c=5.0):
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(6, 40)
-        c = rng.uniform(0.5, 5.0)
+        n = rng.randint(6, max_n)
+        c = rng.uniform(0.5, min(max_c, n - 1))
         yield generate_er(GenConfig(n, c, rng.randrange(10**6)))
 
 
@@ -346,8 +346,9 @@ def _solved(res):
 
 
 def test_probe_passes_kept_across_sweeps_match_fresh_probes(monkeypatch):
-    """Passes kept across sweeps, chain heads probed first and failures
-    recorded per sweep decide exactly as probing each literal afresh would."""
+    """Passes kept across sweeps, seeds limited to the touched nodes and
+    chain heads probed first decide exactly as a sweep that clears every
+    pass and probes every active node afresh, without the chain climb."""
     graphs = list(_random_graphs(240, seed=5))
     graphs += [path_graph(n) for n in range(2, 40)]
     graphs += [cycle_graph(n) for n in range(3, 40)]
@@ -359,18 +360,19 @@ def test_probe_passes_kept_across_sweeps_match_fresh_probes(monkeypatch):
     def fresh_sweep(self, touched):
         self._okp[:] = [False] * self.graph.n
         self._okn[:] = [False] * self.graph.n
-        return sweep(self, touched)
+        return sweep(self, [u for u in range(self.graph.n) if self.active[u]])
 
     monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", fresh_sweep)
-    monkeypatch.setattr(ReducedSolutionGraph, "_chain_head", lambda self, x, failed: x)
+    monkeypatch.setattr(ReducedSolutionGraph, "_chain_head", lambda self, x: x)
     for g, expect in zip(graphs + long_chains, kept):
         assert _solved(run_mbea(g, trace=True)) == expect, g
 
 
-def test_failed_chain_head_is_forgotten_when_the_sweep_ends():
+def test_released_chain_head_is_probed_afresh():
     """u=0 probes its chain head h=2 first (+2 implies -1 implies +0); +2
-    fails against the uncovered node 3, so h is frozen without a re-probe.
-    Once 3 and h are released, the next sweep must probe +2 afresh."""
+    fails against the uncovered node 3, so +0 is probed itself and h is
+    frozen. Once 3 and h are released, the next sweep must probe +2 afresh,
+    and it passes."""
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     ranks = RankAssignment(rank=(1, 2, 3, 4), in_core=(False,) * 4, max_rank=4)
     rsg = ReducedSolutionGraph.from_parts(
@@ -382,6 +384,51 @@ def test_failed_chain_head_is_forgotten_when_the_sweep_ends():
     rsg.break_odd_cycles({2, 3})
     assert rsg.state == [UNFROZEN] * 4
     assert rsg.edge_kind(2, 3) == "double"
+
+
+def test_passes_go_stale_only_at_touched_nodes(monkeypatch):
+    """The claim behind seeding only the touched nodes (break_odd_cycles,
+    parts 2 and 3): when a sweep after an addition starts, no literal of an
+    untouched active unfrozen node fails; and right after the slack rule
+    adds a double edge (u, w), -u and -w both pass."""
+    sweep = ReducedSolutionGraph.break_odd_cycles
+    set_double = ReducedSolutionGraph.set_double
+    in_sweep = []
+    counts = {"sweeps": 0, "slack": 0}
+
+    def checked_sweep(self, touched):
+        state = self.state
+        if any(state[x] == UNFROZEN for x in touched):
+            failing = [
+                (u, v)
+                for u in range(self.graph.n)
+                if self.active[u] and state[u] == UNFROZEN and u not in touched
+                for v in (1, -1)
+                if self._close(((u, v),)) is None
+            ]
+            assert not failing, (self.graph, failing)
+            counts["sweeps"] += 1
+        in_sweep.append(True)
+        try:
+            sweep(self, touched)
+        finally:
+            in_sweep.pop()
+
+    def checked_set_double(self, u, v):
+        set_double(self, u, v)
+        # inside a sweep only the slack rule adds double edges
+        if in_sweep:
+            assert self._close(((u, -1),)) is not None, (self.graph, u, v)
+            assert self._close(((v, -1),)) is not None, (self.graph, u, v)
+            counts["slack"] += 1
+
+    monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", checked_sweep)
+    monkeypatch.setattr(ReducedSolutionGraph, "set_double", checked_set_double)
+    graphs = list(_random_graphs(300, seed=13, max_n=60, max_c=8.0))
+    graphs += [generate_er(GenConfig(300, float(c), 7)) for c in range(1, 7)]
+    for g in graphs:
+        run_mbea(g)
+    assert counts["sweeps"] > 2000 and counts["slack"] > 100, counts
 
 
 def test_every_unfrozen_node_holds_its_passes_after_each_sweep(monkeypatch):
@@ -503,6 +550,8 @@ def test_enumerate_limit_truncates():
     assert len(sols.assignments) == 3
     full = rsg.enumerate_assignments(limit=8)
     assert not full.truncated and len(full.assignments) == 8
+    with pytest.raises(ValueError, match="limit"):
+        rsg.enumerate_assignments(limit=-1)
 
 
 def test_enumerate_many_components_does_not_recurse():
