@@ -37,11 +37,16 @@ SIDES = ("parent", "change")
 
 
 def seed_list(text: str) -> list[int]:
-    """'301-310' or '301,305,397' (or a mix) as a list of seeds."""
+    """'301-310' or '301,305,397' (or a mix) as a list of seeds. A
+    descending range raises ValueError, which argparse reports as a usage
+    error, instead of yielding no seeds."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise ValueError(f"descending seed range {part!r}")
+        seeds.extend(range(lo, hi + 1))
     return seeds
 
 

@@ -82,7 +82,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", type=Path)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--oracle-budget", type=int, default=150)
+        if name == "exp-error":  # the only ensemble that runs the oracle
+            p.add_argument("--oracle-budget", type=int, default=ExperimentConfig.oracle_budget)
     return parser
 
 
@@ -160,7 +161,7 @@ def _cmd_experiment(args, runner) -> int:
         n_grid=tuple(args.n),
         instances=args.instances,
         seed=args.seed,
-        oracle_budget=args.oracle_budget,
+        oracle_budget=getattr(args, "oracle_budget", ExperimentConfig.oracle_budget),
         workers=args.workers,
     )
     try:

@@ -37,9 +37,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        """Raise ValueError unless every (c, n) grid point can be drawn."""
+        """Raise ValueError on a bad run setting or an undrawable (c, n) grid point."""
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.oracle_budget < 0:
+            raise ValueError(f"oracle_budget must be >= 0, got {self.oracle_budget}")
         if not self.c_grid or not self.n_grid:
             raise ValueError("empty grid")
         for c, n in itertools.product(self.c_grid, self.n_grid):
@@ -100,54 +104,43 @@ def _mean_stderr(values) -> tuple[float, float]:
 
 def run_ensemble(cfg: ExperimentConfig, with_oracle: bool) -> list[ReportRow]:
     cfg.validate()
-    tasks = []
-    for ci, c in enumerate(cfg.c_grid):
-        for ni, n in enumerate(cfg.n_grid):
-            for k in range(cfg.instances):
-                tasks.append(
-                    (c, n, derive_seed(cfg.seed, ci, ni, k), with_oracle, cfg.oracle_budget)
-                )
-    if cfg.workers > 1:
+    points = list(itertools.product(enumerate(cfg.c_grid), enumerate(cfg.n_grid)))
+    tasks = [
+        (c, n, derive_seed(cfg.seed, ci, ni, k), with_oracle, cfg.oracle_budget)
+        for (ci, c), (ni, n) in points
+        for k in range(cfg.instances)
+    ]
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
         # instance cost varies tens of times across the grid, so a worker
         # takes one task at a time; map keeps the results in task order
-        with Pool(cfg.workers) as pool:
+        with Pool(workers) as pool:
             results = pool.map(_run_instance, tasks, chunksize=1)
     else:
         results = [_run_instance(t) for t in tasks]
 
     rows = []
-    idx = 0
-    for c in cfg.c_grid:
-        for n in cfg.n_grid:
-            chunk = results[idx : idx + cfg.instances]
-            idx += cfg.instances
-            x_mean, x_stderr = _mean_stderr(r[0] for r in chunk)
-            pos_frac = sum(r[1] for r in chunk) / len(chunk)
-            neg_frac = sum(r[2] for r in chunk) / len(chunk)
-            unf_frac = sum(r[3] for r in chunk) / len(chunk)
-            core_empty_frac = sum(1 for r in chunk if r[4]) / len(chunk)
-            errs = [r[5] for r in chunk if r[5] is not None]
-            refusals = sum(1 for r in chunk if r[6])
-            if errs:
-                err_mean, err_stderr = _mean_stderr(errs)
-            else:
-                err_mean = err_stderr = None
-            rows.append(
-                ReportRow(
-                    c=float(c),
-                    n=n,
-                    instances=cfg.instances,
-                    x_mean=x_mean,
-                    x_stderr=x_stderr,
-                    pos_frac=pos_frac,
-                    neg_frac=neg_frac,
-                    unfrozen_frac=unf_frac,
-                    core_empty_frac=core_empty_frac,
-                    err_mean=err_mean,
-                    err_stderr=err_stderr,
-                    refusal_frac=refusals / len(chunk),
-                )
+    for k, ((_, c), (_, n)) in enumerate(points):
+        chunk = results[k * cfg.instances : (k + 1) * cfg.instances]
+        x_mean, x_stderr = _mean_stderr(r[0] for r in chunk)
+        errs = [r[5] for r in chunk if r[5] is not None]
+        err_mean, err_stderr = _mean_stderr(errs) if errs else (None, None)
+        rows.append(
+            ReportRow(
+                c=float(c),
+                n=n,
+                instances=cfg.instances,
+                x_mean=x_mean,
+                x_stderr=x_stderr,
+                pos_frac=sum(r[1] for r in chunk) / len(chunk),
+                neg_frac=sum(r[2] for r in chunk) / len(chunk),
+                unfrozen_frac=sum(r[3] for r in chunk) / len(chunk),
+                core_empty_frac=sum(1 for r in chunk if r[4]) / len(chunk),
+                err_mean=err_mean,
+                err_stderr=err_stderr,
+                refusal_frac=sum(1 for r in chunk if r[6]) / len(chunk),
             )
+        )
     return rows
 
 

@@ -229,11 +229,7 @@ class ReducedSolutionGraph:
         count as unfrozen whatever their state (would_refreeze's release
         overlay). The call writes nothing but its scratch tags. With keep
         set, it extends the assignment left in _ptag (+tag / -tag per node)
-        instead of bumping the tag, and clears what it set on a conflict: the
-        component searches hold their partial assignment this way, so nothing
-        may call _close between two of their steps. Other users: the case
-        dispatch, the closure sweep (through _probe), the validator and
-        freezing.
+        instead of bumping the tag, and clears what it set on a conflict.
         """
         if not keep:
             self._tag += 1
@@ -297,20 +293,20 @@ class ReducedSolutionGraph:
 
     # ------------------------------------------------------- freeze and release
 
-    def freezing(self, i: int, state: int) -> list[int]:
+    def freezing(self, i: int, state: int) -> list[int] | None:
         """Freeze the active unfrozen node i at state as the root of its own
         cascade, and cascade its influence; the nodes frozen, i first.
 
         An uncovered node forces all unfrozen neighbours covered; a covered
         node forces its unfrozen double partners uncovered. _close walks the
         cascade, and every node it reached is frozen with mark i. A cascade
-        that contradicts itself raises RsgInvariantError and freezes nothing.
+        that contradicts itself freezes nothing and returns None.
         """
         if not self.active[i] or self.state[i] != UNFROZEN:
             raise ValueError(f"node {i} must be active and unfrozen to freeze")
         work = self._close(((i, 1 if state == POS_FROZEN else -1),))
         if work is None:
-            raise RsgInvariantError(f"freezing cascade of {i} contradicts itself")
+            return None
         nodes = []
         set_state = self._set_state
         for lit in work:
@@ -364,13 +360,10 @@ class ReducedSolutionGraph:
 
     def would_refreeze(self, i: int, released) -> bool:
         """Would adding node i as uncovered contradict itself even after the
-        release of the nodes in released (a release_set)?
-
-        Propagates i = +1 treating the released nodes as unfrozen, with the
-        usual conflict rules against everything that stays frozen. On such an
-        incompatible structure, freezing any one node keeps the represented
-        cover size, and the new node is the convenient choice.
-        """
+        release of the nodes in released (a release_set)? Propagates i = +1
+        with the released nodes counted as unfrozen. When it would, freezing
+        any one node keeps the represented cover size; the new node is the
+        convenient choice."""
         return self._close(((i, 1),), virt=released) is None
 
     def rechecking(self) -> None:
@@ -549,7 +542,10 @@ class ReducedSolutionGraph:
         def freeze(u: int, new_state: int) -> None:
             # freezing removes implications, so passes stay valid; only the
             # slack conditions of bystanders need a second look
-            for x in self.freezing(u, new_state):
+            nodes = self.freezing(u, new_state)
+            if nodes is None:  # a failed probe's opposite cascade must close
+                raise RsgInvariantError(f"{u} fails both ways: no represented cover")
+            for x in nodes:
                 for w in aadj[x]:
                     if state[w] == UNFROZEN:
                         heapq.heappush(heap, rank[w] * n + w)
@@ -912,6 +908,12 @@ class ReducedSolutionGraph:
                     raise RsgInvariantError(f"frozen node {u} has no mark")
                 if not (0 <= mark[u] < n) or not active[mark[u]]:
                     raise RsgInvariantError(f"node {u} marked by invalid node {mark[u]}")
+            expect = sum(1 for w in aadj[u] if state[w] == POS_FROZEN)
+            if self.pos_nbr_count[u] != expect:
+                raise RsgInvariantError(
+                    f"stale uncovered-neighbour count at {u}: "
+                    f"{self.pos_nbr_count[u]} != {expect}"
+                )
         for u, v in self.graph.edges:
             if active[u] and active[v]:
                 if state[u] == POS_FROZEN and state[v] == POS_FROZEN:
@@ -929,15 +931,6 @@ class ReducedSolutionGraph:
                     raise RsgInvariantError(
                         f"double edge ({u},{v}) with states {state[u]},{state[v]}"
                     )
-        for u in range(n):
-            if not active[u]:
-                continue
-            expect = sum(1 for w in aadj[u] if state[w] == POS_FROZEN)
-            if self.pos_nbr_count[u] != expect:
-                raise RsgInvariantError(
-                    f"stale uncovered-neighbour count at {u}: "
-                    f"{self.pos_nbr_count[u]} != {expect}"
-                )
         if deep:
             for u in range(n):
                 if not active[u] or state[u] != UNFROZEN:

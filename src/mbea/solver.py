@@ -1,23 +1,20 @@
 """Main evolution loop: add nodes in leaf-removal rank order, dispatch cases A-E.
 
 Each new node i activates with its edges into the current subgraph and is
-classified by its frozen neighbourhood (num = count of positively frozen
-neighbours, plus a simultaneity check on its unfrozen neighbours):
+classified by num, its count of positively frozen neighbours, and by whether
++i closes (i can be uncovered) once their cascades are released:
 
-  num == 1, unfrozen neighbours can all be covered together ->
-      case A: i and the uncovered neighbour form a mutual-determination;
-      the cascade that froze that neighbour is released.
-  num >= 2, all uncovered neighbours share one cascade mark, unfrozen
-      neighbours compatible -> case E: like A against the cascade root,
-      releasing every uncovered neighbour's cascade.
-  num >= 2 otherwise -> case B: i must be covered (negatively frozen).
-  num == 0, unfrozen neighbours compatible -> case C: i stays uncovered
-      (positively frozen) and its freezing influence cascades.
-  incompatible unfrozen neighbours -> case D: i is covered.
+  A  num == 1, +i closes: i and the uncovered neighbour form a
+     mutual-determination; the cascade that froze that neighbour is released.
+  E  num >= 2, one shared cascade mark, +i closes: like A against the cascade
+     root, releasing every uncovered neighbour's cascade.
+  B  num >= 2 otherwise: i is covered (negatively frozen).
+  C  num == 0, +i closes: i stays uncovered (positively frozen) and its
+     freezing influence cascades.
+  D  num <= 1, +i fails: i is covered.
 
-_dispatch classifies each addition and applies it with the two RSG verbs
-(releasing for A and E, freezing for B, C and D); run_mbea ends every step with
-odd-cycle breaking, preceded by the rechecking sweep after A and E.
+_dispatch applies each case with releasing (A, E) or freezing (B, C, D);
+run_mbea then rechecks after A and E, and breaks odd cycles after every step.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from .leaf_removal import RankAssignment, leaf_removal_ranks
 from .rsg import (
     NEG_FROZEN,
     POS_FROZEN,
-    UNFROZEN,
     ReducedSolutionGraph,
     RsgInvariantError,
 )
@@ -55,12 +51,28 @@ class MbeaResult:
 
 
 def _dispatch(rsg: ReducedSolutionGraph, i: int) -> str:
-    """Classify the addition of node i and apply it; the case label."""
-    state, mark = rsg.state, rsg.mark
-    rank = rsg.ranks.rank
+    """Classify the addition of node i and apply it; the case label.
+
+    Precondition: the RSG is closed (validate(deep=True) passes, as after
+    every sweep); activating i adds only -i, which implies nothing.
+
+    The closure that applies a case decides it: would_refreeze for A and E,
+    freezing(i, POS_FROZEN) for C, which freezes nothing and returns None
+    when +i fails. -i closes on itself (i has no double partner yet), so the
+    B and D freezes cannot fail.
+
+    The paper's simultaneity check, compatible_minus_one(W) over i's
+    unfrozen neighbours W, needs no closure of its own. In a closed RSG each
+    unfrozen literal's closure is conflict-free, so the closure of -W fails
+    only on a complementary pair. +i implies all of -W, and the release
+    overlay only walks further, so +i fails too. With no uncovered
+    neighbour, +i adds one clash, with -i, reached as +p => -i for a
+    neighbour p of i. A closure assigns only unfrozen nodes, so p is in W,
+    and -p clashes with +p in W's closure too.
+    """
+    state, mark, rank = rsg.state, rsg.mark, rsg.ranks.rank
     nbrs = rsg.active_adj[i]
     pos_nbrs = [w for w in nbrs if state[w] == POS_FROZEN]
-    unfrozen_nbrs = [w for w in nbrs if state[w] == UNFROZEN]
 
     if pos_nbrs:
         single = len(pos_nbrs) == 1
@@ -77,7 +89,7 @@ def _dispatch(rsg: ReducedSolutionGraph, i: int) -> str:
                 for q in nbrs
             )
         )
-        if feasible and rsg.compatible_minus_one(unfrozen_nbrs):
+        if feasible:
             released = rsg.release_set(pos_nbrs, m)
             if not rsg.would_refreeze(i, released):
                 rsg.set_double(i, max(pos_nbrs, key=lambda p: (rank[p], p)))
@@ -86,8 +98,7 @@ def _dispatch(rsg: ReducedSolutionGraph, i: int) -> str:
         rsg.freezing(i, NEG_FROZEN)
         return "D" if single else "B"
 
-    if rsg.compatible_minus_one(unfrozen_nbrs):
-        rsg.freezing(i, POS_FROZEN)
+    if rsg.freezing(i, POS_FROZEN) is not None:
         return "C"
     rsg.freezing(i, NEG_FROZEN)
     return "D"

@@ -2,6 +2,8 @@ import importlib.util
 import subprocess
 from pathlib import Path
 
+import pytest
+
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 
@@ -36,3 +38,17 @@ def test_tree_label_ignores_the_bench_files_it_writes(tmp_path, monkeypatch):
 
     (tmp_path / "solver.py").write_text("x = 2\n")
     assert bench_pairs.tree_label() == head + "-dirty"
+
+
+def test_seed_list_reads_ranges_and_rejects_descending_ones(capsys):
+    bench_pairs = _load_script()
+    assert bench_pairs.seed_list("301-303,397,5-5") == [301, 302, 303, 397, 5]
+    for text in ("310-301", "301,310-301"):
+        with pytest.raises(ValueError, match="descending seed range '310-301'"):
+            bench_pairs.seed_list(text)
+    # argparse turns the ValueError into a usage error before any run starts
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--parent", ".", "--workload", "chains", "--seeds", "310-301",
+                          "--out", "unused.json"])
+    assert stop.value.code == 2
+    assert "invalid seed_list value: '310-301'" in capsys.readouterr().err

@@ -172,6 +172,26 @@ def test_exp_error_runs(capsys):
     assert out.splitlines()[0].startswith("c,n,instances")
 
 
+@pytest.mark.parametrize("command", ["exp-backbones", "exp-coverage"])
+def test_oracle_budget_only_where_the_oracle_runs(command, monkeypatch, capsys):
+    def no_instance(task):
+        raise AssertionError(f"instance {task} ran")
+
+    monkeypatch.setattr("mbea.experiments._run_instance", no_instance)
+    assert main([command, "--c", "1", "--n", "10", "--oracle-budget", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: mbea")
+    assert captured.err.endswith("error: unrecognized arguments: --oracle-budget 5\n")
+
+
+def test_exp_error_oracle_budget_refuses_larger_instances(capsys):
+    args = ["exp-error", "--c", "1", "--n", "10", "--instances", "2"]
+    assert main([*args, "--oracle-budget", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",,")
+    assert main([*args, "--oracle-budget", "10"]) == 0
+    assert not capsys.readouterr().out.splitlines()[1].endswith(",,")
+
+
 @pytest.mark.parametrize(
     "grid",
     [
@@ -179,8 +199,9 @@ def test_exp_error_runs(capsys):
         ["--c", "1", "--n", "-5"],
         ["--c", "3", "--n", "2"],
         ["--c", "1", "--c", "3", "--n", "20", "--n", "2"],
+        ["--c", "1", "--n", "10", "--workers", "0"],
     ],
-    ids=["n-zero", "n-negative", "too-dense", "one-bad-point"],
+    ids=["n-zero", "n-negative", "too-dense", "one-bad-point", "workers-zero"],
 )
 def test_experiment_rejects_bad_grid_point(grid, monkeypatch, capsys):
     def no_instance(task):

@@ -135,3 +135,36 @@ def test_config_validation():
         ExperimentConfig(c_grid=(1.0,), n_grid=(10,), instances=0, seed=1).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(c_grid=(-1.0,), n_grid=(10,), instances=1, seed=1).validate()
+    for bad, problem in (
+        (dict(workers=0), "workers must be >= 1, got 0"),
+        (dict(workers=-3), "workers must be >= 1, got -3"),
+        (dict(oracle_budget=-5), "oracle_budget must be >= 0, got -5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            small_cfg(**bad).validate()
+    small_cfg(oracle_budget=0).validate()
+
+
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    """The pool is replaced by an in-process recorder: no process starts."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks, chunksize=1):
+            return [func(t) for t in tasks]
+
+    serial = rows_to_csv(run_backbone_fractions(small_cfg()))
+    monkeypatch.setattr("mbea.experiments.Pool", RecordingPool)
+    for workers in (64, 10, 3):
+        assert rows_to_csv(run_backbone_fractions(small_cfg(workers=workers))) == serial
+    assert run_backbone_fractions(small_cfg(workers=64, c_grid=(1.0,), instances=1))
+    assert asked == [10, 10, 3]

@@ -14,6 +14,7 @@ from mbea.rsg import (
     RsgInvariantError,
     dot_from_json,
 )
+from mbea import solver
 from mbea.solver import _dispatch, run_mbea
 
 from conftest import assert_compatible_matches_brute_force, brute_assignments, graphs, trees
@@ -113,13 +114,19 @@ def test_freezing_covered_node_without_doubles_is_noop():
     assert rsg.state[1] == UNFROZEN and rsg.state[2] == UNFROZEN
 
 
-def test_freezing_contradicting_cascade_raises():
+def test_freezing_contradicting_cascade_returns_none_and_freezes_nothing():
     # 0 uncovered forces both ends of the double edge (1, 2) covered
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
     rsg = all_unfrozen(g, doubles=[(1, 2)])
-    with pytest.raises(RsgInvariantError):
-        rsg.freezing(0, POS_FROZEN)
-    assert rsg.state == [UNFROZEN] * 3
+
+    def snapshot():
+        members = {m: set(s) for m, s in rsg._mark_members.items() if s}
+        return (rsg.state[:], rsg.mark[:], rsg.pos_nbr_count[:], members,
+                set(rsg.step_touched), set(rsg._recheck_candidates))
+
+    before = snapshot()
+    assert rsg.freezing(0, POS_FROZEN) is None
+    assert snapshot() == before and rsg.state == [UNFROZEN] * 3
 
 
 @pytest.mark.parametrize("node", [0, 1])
@@ -333,6 +340,17 @@ def test_break_adds_double_for_pendant_pair():
     assert rsg.edge_kind(0, 1) == "double"
 
 
+def test_break_raises_when_a_node_fails_both_ways():
+    # +0 meets the uncovered node 2; -0 forces its double partner 1
+    # uncovered, which meets the uncovered node 3: no represented cover
+    g = Graph(4, [(0, 1), (0, 2), (1, 3)])
+    rsg = ReducedSolutionGraph.from_parts(
+        g, states={2: POS_FROZEN, 3: POS_FROZEN}, marks={2: 2, 3: 3}, doubles=[(0, 1)]
+    )
+    with pytest.raises(RsgInvariantError):
+        rsg.break_odd_cycles({0, 1, 2, 3})
+
+
 def _random_graphs(count, seed, max_n=40, max_c=5.0):
     rng = random.Random(seed)
     for _ in range(count):
@@ -459,6 +477,72 @@ def test_every_unfrozen_node_holds_its_passes_after_each_sweep(monkeypatch):
     graphs += [generate_er(GenConfig(1000, c, 1)) for c in (2.0, 4.0, 6.0)]
     for g in graphs:
         run_mbea(g)
+
+
+def _dispatch_corpus():
+    yield from _random_graphs(300, seed=17, max_n=60, max_c=8.0)
+    yield from (path_graph(n) for n in range(2, 40))
+    yield from (cycle_graph(n) for n in range(3, 40))
+    yield from (generate_er(GenConfig(300, float(c), 9)) for c in range(1, 7))
+
+
+def test_dispatch_decides_each_case_with_the_closure_that_applies_it(monkeypatch):
+    """One closure per A, C and E step (would_refreeze, or freezing +i), at
+    most two per B and D step (a failed one, then freezing -i)."""
+    close = ReducedSolutionGraph._close
+    dispatch = solver._dispatch
+    calls = []
+
+    def counting_close(self, *args, **kwargs):
+        if calls:
+            calls[-1] += 1
+        return close(self, *args, **kwargs)
+
+    def counted_dispatch(rsg, i):
+        calls.append(0)
+        label = dispatch(rsg, i)
+        closures = calls.pop()
+        assert (closures == 1 if label in "ACE" else 1 <= closures <= 2), (rsg.graph, i, label)
+        seen[label] += 1
+        return label
+
+    seen = dict.fromkeys("ABCDE", 0)
+    monkeypatch.setattr(ReducedSolutionGraph, "_close", counting_close)
+    monkeypatch.setattr(solver, "_dispatch", counted_dispatch)
+    for g in _dispatch_corpus():
+        run_mbea(g)
+    assert min(seen.values()) > 50, seen
+
+
+def test_failed_simultaneity_check_fails_the_uncovered_closure(monkeypatch):
+    """The lemma behind _dispatch, at every addition: when i's unfrozen
+    neighbours cannot all be covered, +i fails, also with the release of its
+    uncovered neighbours' cascades as overlay (checked for every release,
+    not only those the E rule admits); with no uncovered neighbour the two
+    tests agree."""
+    dispatch = solver._dispatch
+    seen = {"overlay": 0, "plain": 0, "agree": 0}
+
+    def checked_dispatch(rsg, i):
+        state = rsg.state
+        nbrs = rsg.active_adj[i]
+        pos_nbrs = [w for w in nbrs if state[w] == POS_FROZEN]
+        compatible = rsg.compatible_minus_one(w for w in nbrs if state[w] == UNFROZEN)
+        if pos_nbrs:
+            if not compatible:
+                released = rsg.release_set(pos_nbrs, rsg.mark[pos_nbrs[0]])
+                assert rsg.would_refreeze(i, released), (rsg.graph, i)
+                seen["overlay"] += 1
+        else:
+            holds = rsg._close(((i, 1),)) is not None
+            assert holds == compatible, (rsg.graph, i)
+            seen["agree" if compatible else "plain"] += 1
+        return dispatch(rsg, i)
+
+    monkeypatch.setattr(solver, "_dispatch", checked_dispatch)
+    for g in _dispatch_corpus():
+        run_mbea(g)
+    assert min(seen.values()) > 50, seen
 
 
 @pytest.mark.parametrize(
