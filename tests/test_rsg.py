@@ -521,7 +521,7 @@ def test_failed_simultaneity_check_fails_the_uncovered_closure(monkeypatch):
     not only those the E rule admits); with no uncovered neighbour the two
     tests agree."""
     dispatch = solver._dispatch
-    seen = {"overlay": 0, "plain": 0, "agree": 0}
+    seen = {"overlay fails": 0, "both fail": 0, "both hold": 0}
 
     def checked_dispatch(rsg, i):
         state = rsg.state
@@ -532,11 +532,11 @@ def test_failed_simultaneity_check_fails_the_uncovered_closure(monkeypatch):
             if not compatible:
                 released = rsg.release_set(pos_nbrs, rsg.mark[pos_nbrs[0]])
                 assert rsg.would_refreeze(i, released), (rsg.graph, i)
-                seen["overlay"] += 1
+                seen["overlay fails"] += 1
         else:
             holds = rsg._close(((i, 1),)) is not None
             assert holds == compatible, (rsg.graph, i)
-            seen["agree" if compatible else "plain"] += 1
+            seen["both hold" if compatible else "both fail"] += 1
         return dispatch(rsg, i)
 
     monkeypatch.setattr(solver, "_dispatch", checked_dispatch)
