@@ -128,6 +128,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.oracle_budget is not None and args.oracle_budget < 0:
+        print(f"mbea: --oracle-budget must be >= 0, got {args.oracle_budget}", file=sys.stderr)
+        return EXIT_USAGE
     g = _load_graph(args.path)
     size_budget = args.oracle_budget if args.oracle_budget is not None else DEFAULT_SIZE_BUDGET
     if args.enumerate:
@@ -177,7 +180,13 @@ def _cmd_experiment(args, runner) -> int:
             mirror.write_text(rows_to_json(rows))
     else:
         _write(rows_to_json(rows), args.out)
-    return EXIT_OK
+    # the reports leave a refused point's error blank; say why, and fail
+    refused = [r for r in rows if r.refusal_frac > 0]
+    for r in refused:
+        print(f"mbea: c={r.c:g}, n={r.n}: the oracle refused "
+              f"{round(r.refusal_frac * r.instances)} of {r.instances} instances "
+              f"(n exceeds --oracle-budget {cfg.oracle_budget})", file=sys.stderr)
+    return EXIT_BUDGET if refused else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -133,14 +133,20 @@ class ReducedSolutionGraph:
         ranks: RankAssignment | None = None,
     ) -> "ReducedSolutionGraph":
         """Build an RSG in a given state, mainly for tests, through the same
-        verbs the evolution uses."""
+        writers the evolution uses. Every frozen node needs a mark, and only
+        frozen nodes may have one (ValueError otherwise)."""
         rsg = cls(graph, ranks)
         act = range(graph.n) if active is None else sorted(active)
         for u in act:
             rsg.activate(u)
         states, marks = states or {}, marks or {}
         for u in sorted(states.keys() | marks.keys()):
-            rsg._set_state(u, int(states.get(u, UNFROZEN)), marks.get(u, NO_MARK))
+            st, m = int(states.get(u, UNFROZEN)), marks.get(u, NO_MARK)
+            if (st == UNFROZEN) != (m == NO_MARK):
+                raise ValueError(f"node {u} has state {st} and mark {m}: "
+                                 "a node has a mark exactly when it is frozen")
+            if m != NO_MARK:
+                rsg._freeze_literals((u if st == POS_FROZEN else ~u,), m)
         for u, v in doubles:
             rsg.set_double(u, v)
         # hand-built states have no change history: let rechecking scan everything
@@ -164,38 +170,35 @@ class ReducedSolutionGraph:
         self.pos_nbr_count[i] = sum(1 for w in nbrs if self.state[w] == POS_FROZEN)
         self.step_touched = {i}
 
-    def _set_state(self, u: int, new_state: int, new_mark: int) -> None:
-        old = self.state[u]
-        state, mark = self.state, self.mark
-        # keep neighbour counts of uncovered-frozen nodes incremental;
-        # a covered cascade member whose count lands on 1 becomes a
-        # rechecking candidate (eligibility can only switch on here)
-        if old != new_state and POS_FROZEN in (old, new_state):
-            delta = 1 if new_state == POS_FROZEN else -1
-            cnt = self.pos_nbr_count
-            for w in self.active_adj[u]:
-                cnt[w] += delta
-                if (
-                    cnt[w] == 1
-                    and state[w] == NEG_FROZEN
-                    and mark[w] != NO_MARK
-                    and mark[w] != w
-                ):
-                    self._recheck_candidates.add(w)
-        old_mark = mark[u]
-        if old_mark != NO_MARK:
-            self._mark_members[old_mark].discard(u)
-        if new_mark != NO_MARK:
-            self._mark_members[new_mark].add(u)
-        state[u] = new_state
-        mark[u] = new_mark
-        self.step_touched.add(u)
-        if (
-            new_state == NEG_FROZEN
-            and new_mark != u
-            and self.pos_nbr_count[u] == 1
-        ):
-            self._recheck_candidates.add(u)
+    def _freeze_literals(self, lits, m: int) -> list[int]:
+        """Freeze the literals lits (x for +1, ~x for -1; active, unfrozen and
+        unmarked nodes) with mark m, in order; the nodes frozen.
+
+        The one freeze writer. It keeps the uncovered-neighbour counts
+        incremental, and records a covered cascade member whose count lands
+        on 1 as a rechecking candidate (eligibility can only switch on here
+        and in releasing).
+        """
+        state, mark, aadj = self.state, self.mark, self.active_adj
+        cnt, cands = self.pos_nbr_count, self._recheck_candidates
+        nodes = []
+        for x in lits:
+            if x >= 0:
+                for w in aadj[x]:
+                    cnt[w] += 1
+                    if cnt[w] == 1 and state[w] == NEG_FROZEN and mark[w] != w:
+                        cands.add(w)
+                state[x] = POS_FROZEN
+            else:
+                x = ~x
+                state[x] = NEG_FROZEN
+                if x != m and cnt[x] == 1:
+                    cands.add(x)
+            mark[x] = m
+            nodes.append(x)
+        self._mark_members[m].update(nodes)
+        self.step_touched.update(nodes)
+        return nodes
 
     def set_double(self, u: int, v: int) -> None:
         """Tag the existing edge (u, v) as a mutual-determination."""
@@ -307,26 +310,27 @@ class ReducedSolutionGraph:
         work = self._close(((i, 1 if state == POS_FROZEN else -1),))
         if work is None:
             return None
-        nodes = []
-        set_state = self._set_state
-        for lit in work:
-            if lit < 0:
-                lit = ~lit
-                set_state(lit, NEG_FROZEN, i)
-            else:
-                set_state(lit, POS_FROZEN, i)
-            nodes.append(lit)
-        return nodes
+        return self._freeze_literals(work, i)
 
     def releasing(self, nodes) -> None:
         """Unfreeze the given frozen nodes, clearing their marks.
 
         The order does not matter: a release only inserts into sets and
-        moves the uncovered-neighbour counts up or down.
+        moves the uncovered-neighbour counts down.
         """
-        set_state = self._set_state
+        state, mark, aadj = self.state, self.mark, self.active_adj
+        cnt, cands, members = self.pos_nbr_count, self._recheck_candidates, self._mark_members
+        touched = self.step_touched
         for x in nodes:
-            set_state(x, UNFROZEN, NO_MARK)
+            if state[x] == POS_FROZEN:
+                for w in aadj[x]:
+                    cnt[w] -= 1
+                    if cnt[w] == 1 and state[w] == NEG_FROZEN and mark[w] != w:
+                        cands.add(w)
+            members[mark[x]].discard(x)
+            state[x] = UNFROZEN
+            mark[x] = NO_MARK
+            touched.add(x)
 
     def has_foreign_pos_neighbour(self, j: int, root_mark: int) -> bool:
         state, mark = self.state, self.mark
@@ -379,27 +383,38 @@ class ReducedSolutionGraph:
         still pins it, and unfreezing it collapses the energy level. Repeats
         until no node qualifies, scanning ascending (rank, id).
 
-        Candidates accumulate across steps: _set_state records them on every
-        change, but run_mbea calls this only after cases A and E, so most
-        fires act on candidates that earlier B, C and D steps and closure
-        sweeps left, far from the current step's changes.
+        Candidates accumulate across steps: the freeze writer and releasing
+        record them on every change, but run_mbea calls this only after
+        cases A and E, so most fires act on candidates that earlier B, C and D
+        steps and closure sweeps left, far from the current step's changes.
         """
-        rank = self.ranks.rank
-        state, mark = self.state, self.mark
-        heap = [(rank[x], x) for x in self._recheck_candidates]
-        heapq.heapify(heap)
-        self._recheck_candidates.clear()
-        while heap:
-            _, u = heapq.heappop(heap)
+        rank, n = self.ranks.rank, self.graph.n
+        state, mark, aadj, cnt = self.state, self.mark, self.active_adj, self.pos_nbr_count
+        cands = self._recheck_candidates
+
+        def partner(u: int) -> int:
+            # u's one uncovered neighbour when u may fire, else -1; self-rooted
+            # backbones are not cascade members
             m = mark[u]
-            # self-rooted backbones are not cascade members; a candidate
-            # scanned without firing stays ineligible until a tracked change
-            # re-adds it, so dropping it here is safe
-            if state[u] != NEG_FROZEN or m == u or self.pos_nbr_count[u] != 1:
+            if state[u] != NEG_FROZEN or m == u or cnt[u] != 1:
+                return -1
+            for w in aadj[u]:
+                if state[w] == POS_FROZEN:
+                    return w if mark[w] == m else -1
+            return -1
+
+        # an ineligible candidate can turn eligible only through a writer,
+        # which records it again, so dropping it here is safe; integer keys
+        # rank*n + id pop in ascending (rank, id) order
+        heap = [rank[x] * n + x for x in cands if partner(x) >= 0]
+        heapq.heapify(heap)
+        cands.clear()
+        while heap:
+            u = heapq.heappop(heap) % n
+            v = partner(u)
+            if v < 0:
                 continue
-            v = next(w for w in self.active_adj[u] if state[w] == POS_FROZEN)
-            if mark[v] != m:
-                continue
+            m = mark[u]
             self.releasing([
                 w
                 for w in self._mark_members[m]
@@ -407,9 +422,10 @@ class ReducedSolutionGraph:
             ])
             self.set_double(u, v)
             # merge candidates created by the releases into the live scan
-            for x in self._recheck_candidates:
-                heapq.heappush(heap, (rank[x], x))
-            self._recheck_candidates.clear()
+            for x in cands:
+                if partner(x) >= 0:
+                    heapq.heappush(heap, rank[x] * n + x)
+            cands.clear()
 
     # --------------------------------------------------------- odd-cycle break
 
@@ -527,8 +543,8 @@ class ReducedSolutionGraph:
         active, state = self.active, self.state
         aadj, dadj = self.active_adj, self.double_adj
         okp, okn = self._okp, self._okn
-        if any(state[x] == UNFROZEN for x in touched):
-            seeds = [x for x in touched if active[x] and state[x] == UNFROZEN]
+        seeds = [x for x in touched if active[x] and state[x] == UNFROZEN]
+        if seeds:
             for x in seeds:
                 okp[x] = okn[x] = False
         else:
@@ -908,12 +924,18 @@ class ReducedSolutionGraph:
                     raise RsgInvariantError(f"frozen node {u} has no mark")
                 if not (0 <= mark[u] < n) or not active[mark[u]]:
                     raise RsgInvariantError(f"node {u} marked by invalid node {mark[u]}")
+                if u not in self._mark_members.get(mark[u], ()):
+                    raise RsgInvariantError(f"node {u} missing from its mark's members")
             expect = sum(1 for w in aadj[u] if state[w] == POS_FROZEN)
             if self.pos_nbr_count[u] != expect:
                 raise RsgInvariantError(
                     f"stale uncovered-neighbour count at {u}: "
                     f"{self.pos_nbr_count[u]} != {expect}"
                 )
+        for m, members in self._mark_members.items():
+            for u in members:
+                if mark[u] != m or m == NO_MARK:
+                    raise RsgInvariantError(f"node {u} listed under mark {m}, carries {mark[u]}")
         for u, v in self.graph.edges:
             if active[u] and active[v]:
                 if state[u] == POS_FROZEN and state[v] == POS_FROZEN:

@@ -76,6 +76,13 @@ def test_oracle_budget_exit_code(k5_file, capsys):
     assert main(["oracle", str(k5_file), "--oracle-budget", "3"]) == 3
 
 
+def test_oracle_negative_budget_is_a_usage_error(k5_file, capsys):
+    assert main(["oracle", str(k5_file), "--oracle-budget", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mbea: --oracle-budget must be >= 0, got -5\n"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.edges"
     path.write_text("2 1\n0 0\n")
@@ -186,10 +193,15 @@ def test_oracle_budget_only_where_the_oracle_runs(command, monkeypatch, capsys):
 
 def test_exp_error_oracle_budget_refuses_larger_instances(capsys):
     args = ["exp-error", "--c", "1", "--n", "10", "--instances", "2"]
-    assert main([*args, "--oracle-budget", "5"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].endswith(",,")
+    assert main([*args, "--oracle-budget", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].endswith(",,")
+    assert captured.err == (
+        "mbea: c=1, n=10: the oracle refused 2 of 2 instances (n exceeds --oracle-budget 5)\n"
+    )
     assert main([*args, "--oracle-budget", "10"]) == 0
-    assert not capsys.readouterr().out.splitlines()[1].endswith(",,")
+    captured = capsys.readouterr()
+    assert not captured.out.splitlines()[1].endswith(",,") and captured.err == ""
 
 
 @pytest.mark.parametrize(

@@ -286,6 +286,37 @@ def test_rechecking_skips_foreign_pair():
     assert rsg.state[1] == POS_FROZEN
 
 
+def test_every_eligible_node_is_a_recheck_candidate_after_each_step(monkeypatch):
+    """rechecking scans only its recorded candidates, so the writers must
+    record every node that may fire: after every step, each NEG-frozen node
+    marked by another root whose one uncovered neighbour carries the same
+    mark is in _recheck_candidates."""
+    from test_golden import corpus
+
+    sweep = ReducedSolutionGraph.break_odd_cycles
+    steps = [0]
+
+    def checked_sweep(self, touched):
+        sweep(self, touched)  # the last act of every step
+        state, mark, aadj = self.state, self.mark, self.active_adj
+        missing = []
+        for u in range(self.graph.n):
+            if state[u] != NEG_FROZEN or mark[u] == u or self.pos_nbr_count[u] != 1:
+                continue
+            (v,) = [w for w in aadj[u] if state[w] == POS_FROZEN]
+            if mark[v] == mark[u] and u not in self._recheck_candidates:
+                missing.append(u)
+        assert not missing, (self.graph, missing)
+        steps[0] += 1
+
+    monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", checked_sweep)
+    graphs = [g for _, g in corpus()]
+    graphs += [generate_er(GenConfig(300, float(c), 3)) for c in range(1, 7)]
+    for g in graphs:
+        run_mbea(g)
+    assert steps[0] == sum(g.n for g in graphs)
+
+
 # ----------------------------------------------------------- odd cycle break
 
 
@@ -880,3 +911,33 @@ def test_validator_rejects_stale_counts():
     rsg.pos_nbr_count[1] = 5
     with pytest.raises(RsgInvariantError):
         rsg.validate()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda members: members[0].discard(1),
+        lambda members: members[2].add(1),
+        lambda members: members[0].add(3),
+    ],
+    ids=["member-missing", "member-of-another-mark", "unmarked-member"],
+)
+def test_validator_rejects_stale_mark_members(corrupt):
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    rsg = ReducedSolutionGraph.from_parts(
+        g, states={0: POS_FROZEN, 1: NEG_FROZEN, 2: POS_FROZEN}, marks={0: 0, 1: 0, 2: 2}
+    )
+    rsg.validate()
+    corrupt(rsg._mark_members)
+    with pytest.raises(RsgInvariantError):
+        rsg.validate()
+
+
+@pytest.mark.parametrize(
+    "states, marks",
+    [({}, {0: 0}), ({0: UNFROZEN}, {0: 1}), ({0: NEG_FROZEN}, {}), ({0: POS_FROZEN}, {0: -1})],
+    ids=["mark-without-state", "mark-on-unfrozen", "frozen-without-mark", "frozen-no-mark"],
+)
+def test_from_parts_rejects_marks_that_do_not_match_states(states, marks):
+    with pytest.raises(ValueError, match="a node has a mark exactly when it is frozen"):
+        ReducedSolutionGraph.from_parts(Graph(2, [(0, 1)]), states=states, marks=marks)
