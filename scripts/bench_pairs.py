@@ -73,12 +73,13 @@ def quartiles(values: list[float]) -> dict:
 def tree_label() -> str:
     """The working tree's commit, with -dirty when a tracked file has
     uncommitted changes; the BENCH_*.json files this script writes into the
-    tree do not count."""
+    tree and the notes (*.md) do not count."""
     def git(*args: str) -> str:
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
 
     label = git("describe", "--always")
-    if label and git("status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json"):
+    if label and git("status", "--porcelain", "--untracked-files=no", "--", ".",
+                     ":(exclude)BENCH_*.json", ":(exclude)*.md"):
         label += "-dirty"
     return label or None
 

@@ -50,10 +50,12 @@ class Graph:
         self.n = n
         self.edges = tuple(canon)
         adj: list[list[int]] = [[] for _ in range(n)]
+        # already ascending: the sorted edges (u < v) reach each node's lower
+        # neighbours first, in order, and then its higher ones
         for u, v in canon:
             adj[u].append(v)
             adj[v].append(u)
-        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
+        self.adjacency = tuple(tuple(a) for a in adj)
 
     @property
     def m(self) -> int:

@@ -20,13 +20,11 @@ Spin propagation implements the two rules as implications:
 One kernel, _close, propagates them for the case dispatch, the closure sweep,
 the validator, freezing (which freezes what the kernel's worklist reached),
 and the searches that minimise and enumerate the unfrozen components. It runs
-iteratively on scratch tags (cascades can reach the whole graph, so no
-recursion) and writes nothing else; its callers act on the literals it
-returns. A search keeps its partial assignment in the tags and extends it in
-_close's keep mode, which undoes an extension that conflicts; so nothing may
-call _close between two assignments a search takes (list() and next() are its
-only consumers). One search, _pieces, splits node sets into connected pieces,
-for the minimiser and for unfrozen_components.
+iteratively (cascades can reach the whole graph, so no recursion) on fresh
+scratch tags, or on the partial assignment a search owns, which it extends
+and leaves as it was on a conflict; it writes nothing else, and its callers
+act on the literals it returns. One search, _pieces, splits node sets into
+connected pieces, for the minimiser and for unfrozen_components.
 
 The closure sweep records a probe's passes from the literals _close returns
 (_probe) and keeps them across sweeps; a pass goes stale only when its node
@@ -107,7 +105,6 @@ class ReducedSolutionGraph:
         self.double_adj: list[list[int]] = [[] for _ in range(n)]
         # active neighbours of each active node, in adjacency (ascending) order
         self.active_adj: list[list[int]] = [[] for _ in range(n)]
-        self.pos_nbr_count = [0] * n
         self.step_touched: set[int] = set()
         self._recheck_candidates: set[int] = set()
         self._mark_members: defaultdict[int, set[int]] = defaultdict(set)
@@ -167,32 +164,30 @@ class ReducedSolutionGraph:
         active[i] = True
         self.state[i] = UNFROZEN
         self.mark[i] = NO_MARK
-        self.pos_nbr_count[i] = sum(1 for w in nbrs if self.state[w] == POS_FROZEN)
         self.step_touched = {i}
 
     def _freeze_literals(self, lits, m: int) -> list[int]:
         """Freeze the literals lits (x for +1, ~x for -1; active, unfrozen and
         unmarked nodes) with mark m, in order; the nodes frozen.
 
-        The one freeze writer. It keeps the uncovered-neighbour counts
-        incremental, and records a covered cascade member whose count lands
-        on 1 as a rechecking candidate (eligibility can only switch on here
-        and in releasing).
+        The one freeze writer. It records as rechecking candidates every
+        covered non-root node (one not marked by itself) it freezes, and every
+        covered non-root neighbour of a node it freezes uncovered
+        (eligibility can only switch on here and in releasing).
         """
         state, mark, aadj = self.state, self.mark, self.active_adj
-        cnt, cands = self.pos_nbr_count, self._recheck_candidates
+        cands = self._recheck_candidates
         nodes = []
         for x in lits:
             if x >= 0:
                 for w in aadj[x]:
-                    cnt[w] += 1
-                    if cnt[w] == 1 and state[w] == NEG_FROZEN and mark[w] != w:
+                    if state[w] == NEG_FROZEN and mark[w] != w:
                         cands.add(w)
                 state[x] = POS_FROZEN
             else:
                 x = ~x
                 state[x] = NEG_FROZEN
-                if x != m and cnt[x] == 1:
+                if x != m:
                     cands.add(x)
             mark[x] = m
             nodes.append(x)
@@ -223,22 +218,24 @@ class ReducedSolutionGraph:
 
     # ------------------------------------------------------------- propagation
 
-    def _close(self, seeds, virt=(), keep=False) -> list[int] | None:
+    def _close(self, seeds, virt=(), seen=None) -> list[int] | None:
         """Close seed (node, spin) pairs under the two rules: the literals
         assigned, seeds first, or None on a conflict.
 
         Frozen nodes end the walk: an uncovered neighbour of a +1 node or a
         covered double partner of a -1 node is a conflict. Nodes in virt
         count as unfrozen whatever their state (would_refreeze's release
-        overlay). The call writes nothing but its scratch tags. With keep
-        set, it extends the assignment left in _ptag (+tag / -tag per node)
-        instead of bumping the tag, and clears what it set on a conflict.
+        overlay). The call writes nothing but its tags: fresh scratch tags
+        by default, or a search's own assignment seen (+1 / -1 per node, 0
+        unassigned), which it extends, walking no node already assigned. On
+        a conflict it clears what it set.
         """
-        if not keep:
+        if seen is None:
             self._tag += 1
-        tag = self._tag
+            tag, seen = self._tag, self._ptag
+        else:
+            tag = 1
         ntag = -tag
-        seen = self._ptag
         state, aadj, dadj = self.state, self.active_adj, self.double_adj
         work: list[int] = []  # literals: x for x = +1, ~x for x = -1
         # a conflict breaks out of the loops to the one rollback below
@@ -281,9 +278,8 @@ class ReducedSolutionGraph:
                 break
             else:
                 return work
-        if keep:
-            for lit in work:
-                seen[lit if lit >= 0 else ~lit] = 0
+        for lit in work:
+            seen[lit if lit >= 0 else ~lit] = 0
         return None
 
     def compatible_minus_one(self, targets) -> bool:
@@ -315,17 +311,16 @@ class ReducedSolutionGraph:
     def releasing(self, nodes) -> None:
         """Unfreeze the given frozen nodes, clearing their marks.
 
-        The order does not matter: a release only inserts into sets and
-        moves the uncovered-neighbour counts down.
+        The order does not matter: a release only inserts into sets. The
+        covered non-root neighbours of a released uncovered node become
+        rechecking candidates.
         """
         state, mark, aadj = self.state, self.mark, self.active_adj
-        cnt, cands, members = self.pos_nbr_count, self._recheck_candidates, self._mark_members
-        touched = self.step_touched
+        cands, members, touched = self._recheck_candidates, self._mark_members, self.step_touched
         for x in nodes:
             if state[x] == POS_FROZEN:
                 for w in aadj[x]:
-                    cnt[w] -= 1
-                    if cnt[w] == 1 and state[w] == NEG_FROZEN and mark[w] != w:
+                    if state[w] == NEG_FROZEN and mark[w] != w:
                         cands.add(w)
             members[mark[x]].discard(x)
             state[x] = UNFROZEN
@@ -389,19 +384,22 @@ class ReducedSolutionGraph:
         steps and closure sweeps left, far from the current step's changes.
         """
         rank, n = self.ranks.rank, self.graph.n
-        state, mark, aadj, cnt = self.state, self.mark, self.active_adj, self.pos_nbr_count
+        state, mark, aadj = self.state, self.mark, self.active_adj
         cands = self._recheck_candidates
 
         def partner(u: int) -> int:
             # u's one uncovered neighbour when u may fire, else -1; self-rooted
             # backbones are not cascade members
             m = mark[u]
-            if state[u] != NEG_FROZEN or m == u or cnt[u] != 1:
+            if state[u] != NEG_FROZEN or m == u:
                 return -1
+            v = -1
             for w in aadj[u]:
                 if state[w] == POS_FROZEN:
-                    return w if mark[w] == m else -1
-            return -1
+                    if v >= 0:
+                        return -1
+                    v = w
+            return v if v >= 0 and mark[v] == m else -1
 
         # an ineligible candidate can turn eligible only through a writer,
         # which records it again, so dropping it here is safe; integer keys
@@ -615,21 +613,18 @@ class ReducedSolutionGraph:
         """Every constraint-satisfying assignment of the nodes in order, depth
         first: branch on the first unassigned node, +1 before -1.
 
-        The partial assignment lives in _close's tags (keep mode), so no
-        other _close call may run between two yields. Iterative, since the
-        decision depth grows with the component.
+        The partial assignment is the search's own, extended by _close.
+        Iterative, since the decision depth grows with the component.
         """
-        self._tag += 1
-        tag = self._tag
-        seen = self._ptag
+        seen = [0] * self.graph.n
         decisions: list[tuple[int, int, list[int]]] = []  # (position, spin, literals)
         i, v = 0, 1
         while True:
-            while i < len(order) and abs(seen[order[i]]) == tag:
+            while i < len(order) and seen[order[i]]:
                 i += 1
             if i == len(order):
-                yield {x: 1 if seen[x] == tag else -1 for x in order}
-            elif (lits := self._close(((order[i], v),), keep=True)) is not None:
+                yield {x: seen[x] for x in order}
+            elif (lits := self._close(((order[i], v),), seen=seen)) is not None:
                 decisions.append((i, v, lits))
                 i, v = i + 1, 1
                 continue
@@ -749,7 +744,7 @@ class ReducedSolutionGraph:
             return self._tree_solve(piece)[1]
         memo: dict[frozenset, tuple] = {}
         budget = [_WORK_BUDGET]
-        tags = self._ptag
+        seen = [0] * self.graph.n  # the search's assignment, cleared after each branch
         TREE = 0  # sentinel spin marking a tree-solved piece, its spins kept
 
         def min_count(shaped) -> int:
@@ -766,14 +761,15 @@ class ReducedSolutionGraph:
                 raise _BranchBudgetOut
             best = best_spin = None
             for v in (1, -1):
-                # read the closure's tags before the pieces left over bump them
-                lits = self._close(((branch_node, v),))
+                # the closure stays in the piece: outer branches hold the rest
+                lits = self._close(((branch_node, v),), seen=seen)
                 if lits is None:
                     continue
-                tag = self._tag
-                rest = self._pieces({x for x in piece if abs(tags[x]) != tag})
-                total = sum(1 for lit in lits if lit < 0 and ~lit in piece)
+                rest = self._pieces({x for x in piece if not seen[x]})
+                total = sum(1 for lit in lits if lit < 0)
                 total += sum(min_count(p) for p in rest)
+                for lit in lits:
+                    seen[lit if lit >= 0 else ~lit] = 0
                 if best is None or total < best:
                     best, best_spin = total, v
             if best is None:
@@ -791,22 +787,20 @@ class ReducedSolutionGraph:
         except _BranchBudgetOut:
             # the first satisfying assignment, ascending id with +1 preferred
             return next(self._assignments(sorted(comp)), None)
-        # replay the memo's choices into the tags, extended in keep mode
-        self._tag += 1
-        tag = self._tag
+        # replay the memo's choices into the assignment
         stack = [piece]
         while stack:
             piece = stack.pop()
             _, spin, step = memo[piece]  # step: branch node, or a tree's spins
             if spin == TREE:
                 for x, s in step.items():
-                    tags[x] = tag if s == 1 else -tag
+                    seen[x] = s
                 continue
-            if self._close(((step, spin),), keep=True) is None:
+            if self._close(((step, spin),), seen=seen) is None:
                 return None
-            rest = {x for x in piece if abs(tags[x]) != tag}
+            rest = {x for x in piece if not seen[x]}
             stack.extend(p[0] for p in self._pieces(rest))
-        return {u: 1 if tags[u] == tag else -1 for u in comp}
+        return {u: seen[u] for u in comp}
 
     def enumerate_assignments(self, limit: int = 0) -> SolutionSet:
         """Every represented assignment: frozen spins fixed, all active edges
@@ -926,12 +920,6 @@ class ReducedSolutionGraph:
                     raise RsgInvariantError(f"node {u} marked by invalid node {mark[u]}")
                 if u not in self._mark_members.get(mark[u], ()):
                     raise RsgInvariantError(f"node {u} missing from its mark's members")
-            expect = sum(1 for w in aadj[u] if state[w] == POS_FROZEN)
-            if self.pos_nbr_count[u] != expect:
-                raise RsgInvariantError(
-                    f"stale uncovered-neighbour count at {u}: "
-                    f"{self.pos_nbr_count[u]} != {expect}"
-                )
         for m, members in self._mark_members.items():
             for u in members:
                 if mark[u] != m or m == NO_MARK:

@@ -24,6 +24,7 @@ def test_tree_label_ignores_the_bench_files_it_writes(tmp_path, monkeypatch):
     git("init", "-q")
     (tmp_path / "solver.py").write_text("x = 1\n")
     (tmp_path / "BENCH_chains.json").write_text("{}\n")
+    (tmp_path / "NOTES.md").write_text("notes\n")
     git("add", ".")
     git("commit", "-q", "-m", "init")
     head = git("rev-parse", "--short", "HEAD")
@@ -31,9 +32,11 @@ def test_tree_label_ignores_the_bench_files_it_writes(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
     assert bench_pairs.tree_label() == head
 
-    # a rewritten result file and a new untracked one leave the label clean
+    # a rewritten result file, a new untracked one and edited notes leave
+    # the label clean
     (tmp_path / "BENCH_chains.json").write_text('{"pairs": 1}\n')
     (tmp_path / "BENCH_sparse-cli.json").write_text("{}\n")
+    (tmp_path / "NOTES.md").write_text("notes, edited while the pairs run\n")
     assert bench_pairs.tree_label() == head
 
     (tmp_path / "solver.py").write_text("x = 2\n")

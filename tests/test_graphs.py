@@ -34,6 +34,13 @@ def test_adjacency_is_symmetric_and_sorted():
     assert g.edges == ((0, 1), (0, 2), (1, 3))
     assert g.adjacency[0] == (1, 2)
     assert g.adjacency[1] == (0, 3)
+    for seed in range(300):
+        g = generate_er(GenConfig(n=30 + seed % 7, mean_degree=0.5 + seed % 12, seed=seed))
+        nbrs = [set() for _ in range(g.n)]
+        for u, v in g.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert g.adjacency == tuple(tuple(sorted(a)) for a in nbrs)
 
 
 def test_generate_er_zero_degree():

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -66,7 +68,7 @@ def test_compatible_order_independence():
 
 
 def test_conflicting_extension_leaves_the_kept_assignment():
-    """keep mode extends the assignment the tags hold; an extension that
+    """_close extends the assignment a search passes in; an extension that
     sets literals of its own and then conflicts clears them again."""
     # {0, 1} holds the kept assignment; in {2, 3}, -2 forces +3 across the
     # double edge, and +3 meets the uncovered frozen node 4
@@ -74,13 +76,35 @@ def test_conflicting_extension_leaves_the_kept_assignment():
     rsg = ReducedSolutionGraph.from_parts(
         g, states={4: POS_FROZEN}, marks={4: 4}, doubles=[(2, 3)]
     )
-    assert rsg._close(((0, 1),)) == [0, ~1]
-    kept = list(rsg._ptag)
-    assert rsg._close(((2, -1),), keep=True) is None
-    assert rsg._ptag == kept
-    assert rsg._close(((2, 1),), keep=True) == [2, ~3]
-    tag = rsg._tag
-    assert rsg._ptag == [tag, -tag, tag, -tag, kept[4]]
+    seen = [0] * 5
+    assert rsg._close(((0, 1),), seen=seen) == [0, ~1]
+    assert seen == [1, -1, 0, 0, 0]
+    assert rsg._close(((2, -1),), seen=seen) is None
+    assert seen == [1, -1, 0, 0, 0]
+    assert rsg._close(((2, 1),), seen=seen) == [2, ~3]
+    assert seen == [1, -1, 1, -1, 0]
+    # an assigned literal is not walked again
+    assert rsg._close(((0, 1),), seen=seen) == []
+
+
+def test_interleaved_searches_keep_their_own_assignments():
+    """Each search owns its partial assignment, so two searches may take
+    turns, with other closures (the deep validator's) in between."""
+    # two closed 8-cycles with two opposite double edges each
+    edges = [(i, (i + 1) % 8) for i in range(8)]
+    g = Graph(16, edges + [(u + 8, v + 8) for u, v in edges])
+    rsg = all_unfrozen(g, doubles=[(0, 1), (4, 5), (8, 9), (12, 13)])
+    rsg.validate(deep=True)
+    orders = [list(range(8)), list(range(15, 7, -1))]
+    searches = [rsg._assignments(order) for order in orders]
+    got = [[], []]
+    for pair in itertools.zip_longest(*searches):
+        for k, sol in enumerate(pair):
+            if sol is not None:
+                got[k].append(sol)
+            rsg.validate(deep=True)
+    for order, sols in zip(orders, got):
+        assert len(sols) > 1 and sols == brute_assignments(rsg, order)
 
 
 # ------------------------------------------------------------------ freezing
@@ -121,7 +145,7 @@ def test_freezing_contradicting_cascade_returns_none_and_freezes_nothing():
 
     def snapshot():
         members = {m: set(s) for m, s in rsg._mark_members.items() if s}
-        return (rsg.state[:], rsg.mark[:], rsg.pos_nbr_count[:], members,
+        return (rsg.state[:], rsg.mark[:], members,
                 set(rsg.step_touched), set(rsg._recheck_candidates))
 
     before = snapshot()
@@ -301,10 +325,12 @@ def test_every_eligible_node_is_a_recheck_candidate_after_each_step(monkeypatch)
         state, mark, aadj = self.state, self.mark, self.active_adj
         missing = []
         for u in range(self.graph.n):
-            if state[u] != NEG_FROZEN or mark[u] == u or self.pos_nbr_count[u] != 1:
+            if state[u] != NEG_FROZEN or mark[u] == u:
                 continue
-            (v,) = [w for w in aadj[u] if state[w] == POS_FROZEN]
-            if mark[v] == mark[u] and u not in self._recheck_candidates:
+            uncovered = [w for w in aadj[u] if state[w] == POS_FROZEN]
+            if len(uncovered) != 1:
+                continue
+            if mark[uncovered[0]] == mark[u] and u not in self._recheck_candidates:
                 missing.append(u)
         assert not missing, (self.graph, missing)
         steps[0] += 1
@@ -601,7 +627,6 @@ def test_from_parts_rebuilds_a_solved_rsg(g):
     assert built.state == rsg.state
     assert built.mark == rsg.mark
     assert built.active_adj == rsg.active_adj
-    assert built.pos_nbr_count == rsg.pos_nbr_count
     assert members(built) == members(rsg)
     assert [set(d) for d in built.double_adj] == [set(d) for d in rsg.double_adj]
     built.validate(deep=True)
@@ -727,6 +752,35 @@ def test_min_component_assignment_reaches_brute_force_minimum(g):
     rsg = run_mbea(g).rsg
     for comp in rsg.unfrozen_components():
         _assert_minimum_assignment(rsg, comp, rsg.min_component_assignment(comp))
+
+
+def test_min_count_branch_closures_stay_in_their_piece(monkeypatch):
+    """A branch closure of the minimiser extends the search's assignment, so
+    it stops at nodes an outer branch assigned: every literal it returns lies
+    in the piece being branched, whose covered count it adds up."""
+    close, pieces = ReducedSolutionGraph._close, ReducedSolutionGraph._pieces
+    piece_of = {}  # branch node -> the latest piece it branches
+    checked = [0]
+
+    def recording_pieces(self, nodes):
+        out = pieces(self, nodes)
+        for piece, _, branch in out:
+            piece_of[branch] = piece
+        return out
+
+    def checked_close(self, seeds, *args, **kwargs):
+        lits = close(self, seeds, *args, **kwargs)
+        if lits is not None and sys._getframe(1).f_code.co_name == "min_count":
+            piece = piece_of[seeds[0][0]]
+            assert all((lit if lit >= 0 else ~lit) in piece for lit in lits)
+            checked[0] += 1
+        return lits
+
+    monkeypatch.setattr(ReducedSolutionGraph, "_pieces", recording_pieces)
+    monkeypatch.setattr(ReducedSolutionGraph, "_close", checked_close)
+    for c in (2, 3, 4):
+        run_mbea(generate_er(GenConfig(300, float(c), 5)))
+    assert checked[0] > 0
 
 
 def test_pieces_split_and_shape():
@@ -903,14 +957,6 @@ def test_activate_keeps_active_neighbour_lists_sorted():
         rsg.activate(u)
         rsg.validate()
     assert rsg.active_adj[3] == [0, 1, 2]
-
-
-def test_validator_rejects_stale_counts():
-    g = Graph(2, [(0, 1)])
-    rsg = ReducedSolutionGraph.from_parts(g, states={0: POS_FROZEN}, marks={0: 0})
-    rsg.pos_nbr_count[1] = 5
-    with pytest.raises(RsgInvariantError):
-        rsg.validate()
 
 
 @pytest.mark.parametrize(

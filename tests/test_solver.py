@@ -135,8 +135,9 @@ def test_cover_fraction_matches_weigt_hartmann_beyond_the_oracle(c):
 
 @pytest.mark.slow
 def test_greedy_fallback_on_large_component_does_not_recurse():
-    # leaves an unfrozen component of 4278 nodes, minimised by the greedy
-    # fallback, whose search is deeper than the default recursion limit
+    # leaves an unfrozen component of 4278 nodes, minimised by the
+    # first-assignment fallback, whose search is deeper than the default
+    # recursion limit
     g = generate_er(GenConfig(n=20000, mean_degree=2.0, seed=3))
     res = run_mbea(g)
     asg = cover_from_rsg(res)
