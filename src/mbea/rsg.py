@@ -23,8 +23,15 @@ and the searches that minimise and enumerate the unfrozen components. It runs
 iteratively (cascades can reach the whole graph, so no recursion) on fresh
 scratch tags, or on the partial assignment a search owns, which it extends
 and leaves as it was on a conflict; it writes nothing else, and its callers
-act on the literals it returns. One search, _pieces, splits node sets into
-connected pieces, for the minimiser and for unfrozen_components.
+act on the literals it returns.
+
+One search, _pieces, splits the unfrozen nodes into connected pieces, for
+unfrozen_components and for the minimiser's branches and replay. It walks
+each node's unfrozen neighbours and takes a node as a member when the
+search's assignment leaves it unassigned. That is exact because every
+unfrozen, unassigned neighbour of a piece node lies in that piece: a piece
+is a component of the unassigned nodes, so sibling and ancestor pieces are
+never adjacent, and a branch closure stays inside the piece it branches.
 
 The closure sweep records a probe's passes from the literals _close returns
 (_probe) and keeps them across sweeps; a pass goes stale only when its node
@@ -109,13 +116,16 @@ class ReducedSolutionGraph:
         self._recheck_candidates: set[int] = set()
         self._mark_members: defaultdict[int, set[int]] = defaultdict(set)
         # versioned scratch, reset in O(1) by bumping the tag: _close stores
-        # +tag / -tag for a node it sets to +1 / -1
+        # +tag / -tag for a node it sets to +1 / -1, _pieces +tag for a node
+        # it visits
         self._ptag = [0] * n
         self._tag = 0
         # probe passes of the closure sweep: +u / -u propagates without
         # conflict; kept across sweeps until a sweep starts with u touched
         self._okp = [False] * n
         self._okn = [False] * n
+        # unfrozen components min_component_assignment left to its fallback
+        self.fallbacks = 0
 
     # ------------------------------------------------------------------ setup
 
@@ -606,8 +616,9 @@ class ReducedSolutionGraph:
         """Connected components of active unfrozen nodes (via active edges),
         each sorted, in ascending order of their smallest node."""
         active, state = self.active, self.state
-        free = {u for u in range(self.graph.n) if active[u] and state[u] == UNFROZEN}
-        return [sorted(piece) for piece, _, _ in self._pieces(free)]
+        free = [u for u in range(self.graph.n) if active[u] and state[u] == UNFROZEN]
+        pieces = self._pieces(free, self._unfrozen_nbrs(free), [0] * self.graph.n)
+        return [sorted(piece) for piece, _, _ in pieces]
 
     def _assignments(self, order):
         """Every constraint-satisfying assignment of the nodes in order, depth
@@ -648,36 +659,49 @@ class ReducedSolutionGraph:
         rank = self.ranks.rank
         return list(self._assignments(sorted(comp, key=lambda u: (rank[u], u))))
 
-    def _pieces(self, nodes) -> list[tuple[frozenset, int, int]]:
-        """Connected pieces of a node set over active edges, in ascending
-        order of their smallest node, each as (piece, edge count, branch
-        node), found in one pass: the one component search.
+    def _unfrozen_nbrs(self, nodes) -> dict[int, list[int]]:
+        """Each node's unfrozen active neighbours, the adjacency _pieces walks."""
+        state, aadj = self.state, self.active_adj
+        return {u: [w for w in aadj[u] if state[w] == UNFROZEN] for u in nodes}
 
-        The branch node is the highest-degree node (ties to the lowest id),
-        so cycles collapse fast.
+    def _pieces(self, nodes, nbrs, seen) -> list[tuple[frozenset, int, int]]:
+        """Connected pieces of the nodes that the search's assignment seen
+        leaves unassigned, in ascending order of their smallest node, each as
+        (piece, edge count, branch node), found in one pass: the one
+        component search.
+
+        nbrs maps every node to its unfrozen neighbours (_unfrozen_nbrs).
+        The walk takes every unassigned one as a member, so every unfrozen
+        unassigned neighbour of a node must lie in nodes; the minimiser
+        keeps this true (see the module docstring). Visited nodes carry a
+        fresh _ptag tag, so no scratch is allocated per call. The branch
+        node is the highest-degree node (ties to the lowest id), so cycles
+        collapse fast.
         """
-        aadj = self.active_adj
-        left = set(nodes)
+        self._tag += 1
+        tag, ptag = self._tag, self._ptag
         pieces = []
-        for s in sorted(left):
-            if s not in left:
+        for s in nodes:
+            if seen[s] or ptag[s] == tag:
                 continue
-            left.discard(s)
+            ptag[s] = tag
             order = [s]
             edges = 0
             best_u = best_deg = -1
             for x in order:
                 deg = 0
-                for w in aadj[x]:
-                    if w in nodes:
+                for w in nbrs[x]:
+                    if not seen[w]:
                         deg += 1
-                        if w in left:
-                            left.discard(w)
+                        if ptag[w] != tag:
+                            ptag[w] = tag
                             order.append(w)
                 edges += deg
                 if deg > best_deg or (deg == best_deg and x < best_u):
                     best_deg, best_u = deg, x
             pieces.append((frozenset(order), edges // 2, best_u))
+        if len(pieces) > 1:
+            pieces.sort(key=lambda p: min(p[0]))
         return pieces
 
     def _tree_solve(self, nodes: frozenset):
@@ -734,17 +758,21 @@ class ReducedSolutionGraph:
         assigning a high-degree node and propagating strands independent
         pieces whose minima add up, memoised per piece. Components whose
         cycle rank exceeds _MAX_CYCLE_RANK, or whose cycle structure
-        exhausts _WORK_BUDGET (charged per piece node examined), fall back
-        to the first satisfying assignment; minimality is then heuristic,
-        which only happens on large leaf-removal cores.
+        exhausts _WORK_BUDGET (charged len(piece) per cyclic piece branched,
+        before its branches), fall back to the first satisfying assignment
+        and count in self.fallbacks; minimality is then heuristic. This is
+        common on cores: on ER n=2000, c=1..10, seeds 1-8, it fired on 28 of
+        the 80 graphs (c=2..10), 10 of them by budget.
         """
-        ((piece, edges, branch_node),) = self._pieces(frozenset(comp))
-        # most sparse-graph components: skip the memo and search closures
-        if edges == len(piece) - 1:
-            return self._tree_solve(piece)[1]
+        nbrs = self._unfrozen_nbrs(comp)
+        # most sparse-graph components: skip the split, the memo and the
+        # search's O(n) assignment (comp is connected)
+        if sum(map(len, nbrs.values())) == 2 * (len(comp) - 1):
+            return self._tree_solve(frozenset(comp))[1]
+        seen = [0] * self.graph.n  # the search's assignment, cleared after each branch
+        ((piece, edges, branch_node),) = self._pieces(comp, nbrs, seen)
         memo: dict[frozenset, tuple] = {}
         budget = [_WORK_BUDGET]
-        seen = [0] * self.graph.n  # the search's assignment, cleared after each branch
         TREE = 0  # sentinel spin marking a tree-solved piece, its spins kept
 
         def min_count(shaped) -> int:
@@ -765,7 +793,7 @@ class ReducedSolutionGraph:
                 lits = self._close(((branch_node, v),), seen=seen)
                 if lits is None:
                     continue
-                rest = self._pieces({x for x in piece if not seen[x]})
+                rest = self._pieces(piece, nbrs, seen)
                 total = sum(1 for lit in lits if lit < 0)
                 total += sum(min_count(p) for p in rest)
                 for lit in lits:
@@ -786,6 +814,7 @@ class ReducedSolutionGraph:
             min_count((piece, edges, branch_node))
         except _BranchBudgetOut:
             # the first satisfying assignment, ascending id with +1 preferred
+            self.fallbacks += 1
             return next(self._assignments(sorted(comp)), None)
         # replay the memo's choices into the assignment
         stack = [piece]
@@ -798,8 +827,7 @@ class ReducedSolutionGraph:
                 continue
             if self._close(((step, spin),), seen=seen) is None:
                 return None
-            rest = {x for x in piece if not seen[x]}
-            stack.extend(p[0] for p in self._pieces(rest))
+            stack.extend(p[0] for p in self._pieces(piece, nbrs, seen))
         return {u: seen[u] for u in comp}
 
     def enumerate_assignments(self, limit: int = 0) -> SolutionSet:

@@ -48,6 +48,9 @@ class MbeaResult:
     case_counts: dict[str, int]
     spins: tuple[int, ...]  # one minimum-level represented cover, -1 = covered
     trace: list[TraceEntry] | None = None
+    # unfrozen components minimised by the first-assignment fallback (cycle
+    # rank above the cap or branch budget exhausted), whose count is heuristic
+    fallbacks: int = 0
 
 
 def _dispatch(rsg: ReducedSolutionGraph, i: int) -> str:
@@ -150,6 +153,7 @@ def run_mbea(
         case_counts=case_counts,
         spins=tuple(spins),
         trace=trace_list,
+        fallbacks=rsg.fallbacks,
     )
 
 

@@ -762,8 +762,8 @@ def test_min_count_branch_closures_stay_in_their_piece(monkeypatch):
     piece_of = {}  # branch node -> the latest piece it branches
     checked = [0]
 
-    def recording_pieces(self, nodes):
-        out = pieces(self, nodes)
+    def recording_pieces(self, nodes, nbrs, seen):
+        out = pieces(self, nodes, nbrs, seen)
         for piece, _, branch in out:
             piece_of[branch] = piece
         return out
@@ -783,15 +783,76 @@ def test_min_count_branch_closures_stay_in_their_piece(monkeypatch):
     assert checked[0] > 0
 
 
+def _bfs_pieces(rsg, nodes, seen):
+    """The nodes seen leaves unassigned, split by breadth-first search over
+    graph edges into (piece, edge count, branch node), ordered by smallest
+    node; the branch node has the most edges inside its piece, ties to the
+    lowest id."""
+    free = {x for x in nodes if not seen[x]}
+    done = set()
+    out = []
+    for s in sorted(free):
+        if s in done:
+            continue
+        piece = {s}
+        queue = [s]
+        for x in queue:
+            for w in rsg.graph.adjacency[x]:
+                if w in free and w not in piece:
+                    piece.add(w)
+                    queue.append(w)
+        done |= piece
+        deg = {x: sum(1 for w in rsg.graph.adjacency[x] if w in piece) for x in piece}
+        branch = min(piece, key=lambda x: (-deg[x], x))
+        out.append((frozenset(piece), sum(deg.values()) // 2, branch))
+    return out
+
+
+def test_pieces_match_breadth_first_split_in_the_minimiser(monkeypatch):
+    """Every split the minimiser and unfrozen_components get from _pieces,
+    which walks unfrozen neighbours and takes unassigned ones as members,
+    equals a set-based split of the same unassigned nodes. ER n=2000, c=5,
+    seed 7 runs its branch budget out, so a search cut short is checked
+    too."""
+    pieces = ReducedSolutionGraph._pieces
+    calls = {}
+
+    def checked_pieces(self, nodes, nbrs, seen):
+        out = pieces(self, nodes, nbrs, seen)
+        assert out == _bfs_pieces(self, nodes, seen)
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller] = calls.get(caller, 0) + 1
+        return out
+
+    monkeypatch.setattr(ReducedSolutionGraph, "_pieces", checked_pieces)
+    for cfg in [GenConfig(300, float(c), 5) for c in (2, 3, 4)] + [GenConfig(2000, 5.0, 7)]:
+        res = run_mbea(generate_er(cfg))
+        assert res.fallbacks == (cfg.n == 2000)
+    assert calls.keys() == {"unfrozen_components", "min_component_assignment", "min_count"}
+    assert calls["min_count"] > 100
+
+
 def test_pieces_split_and_shape():
     # inside {0..5}: the triangle 0-1-2 with pendant 3, and the edge 4-5;
     # node 5's edge to the frozen node 6 leaves the set and is not counted
     g = Graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (4, 5), (5, 6)])
     rsg = ReducedSolutionGraph.from_parts(g, states={6: POS_FROZEN}, marks={6: 6})
-    assert rsg._pieces({0, 1, 2, 3, 4, 5}) == [
+    nodes = [5, 4, 3, 2, 1, 0]
+    nbrs = rsg._unfrozen_nbrs(nodes)
+    seen = [0] * 7
+    assert rsg._pieces(nodes, nbrs, seen) == [
         (frozenset({0, 1, 2, 3}), 4, 1),  # (piece, edges, branch node)
         (frozenset({4, 5}), 1, 4),
     ]
+    # an assigned node leaves the split, and its edges with it
+    seen[1] = -1
+    assert rsg._pieces(frozenset(nodes), nbrs, seen) == [
+        (frozenset({0, 2}), 1, 0),
+        (frozenset({3}), 0, 3),
+        (frozenset({4, 5}), 1, 4),
+    ]
+    # the split's visit tags are not reused: a later closure starts afresh
+    assert rsg._close(((0, -1), (2, -1))) == [~0, ~2]
 
 
 def test_min_component_assignment_tree_beside_uncovered_node():
@@ -813,20 +874,8 @@ def test_min_component_assignment_tree_beside_uncovered_node():
 def _bfs_components(rsg):
     """Connected components of the active unfrozen nodes by breadth-first
     search over graph edges, each sorted, ordered by smallest node."""
-    free = {u for u in range(rsg.graph.n) if rsg.active[u] and rsg.state[u] == UNFROZEN}
-    comps = []
-    for s in sorted(free):
-        if any(s in c for c in comps):
-            continue
-        comp = {s}
-        queue = [s]
-        for x in queue:
-            for w in rsg.graph.adjacency[x]:
-                if w in free and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    return [sorted(c) for c in comps]
+    free = [u for u in range(rsg.graph.n) if rsg.active[u] and rsg.state[u] == UNFROZEN]
+    return [sorted(piece) for piece, _, _ in _bfs_pieces(rsg, free, [0] * rsg.graph.n)]
 
 
 def test_unfrozen_components_match_breadth_first_search():

@@ -140,9 +140,31 @@ def test_greedy_fallback_on_large_component_does_not_recurse():
     # recursion limit
     g = generate_er(GenConfig(n=20000, mean_degree=2.0, seed=3))
     res = run_mbea(g)
+    assert res.fallbacks == 1  # the component's cycle rank, 136, is above the cap
     asg = cover_from_rsg(res)
     assert is_cover(g, asg.covered())
     assert asg.cover_size == res.cover_size
+
+
+@pytest.mark.parametrize(
+    "c, seed, fallbacks",
+    [
+        # a 463-node component (cycle rank 51) runs the branch budget out on
+        # its last charge, which leaves it at -6; the whole search would
+        # charge 950,942 units
+        (5, 7, 1),
+        # a 381-node component (cycle rank 52) completes on 151,849 of the
+        # 200,000 units
+        (7, 8, 0),
+        # a 925-node component has cycle rank 207, above the cap
+        (3, 7, 1),
+    ],
+)
+def test_minimiser_fallback_decisions_on_er_2000(c, seed, fallbacks):
+    """The components the first-assignment fallback minimises: exact
+    searches that finish just inside or just outside the branch budget."""
+    res = run_mbea(generate_er(GenConfig(2000, float(c), seed)))
+    assert res.fallbacks == fallbacks
 
 
 @settings(max_examples=80, deadline=None)
