@@ -844,6 +844,8 @@ def test_pieces_split_and_shape():
         (frozenset({0, 1, 2, 3}), 4, 1),  # (piece, edges, branch node)
         (frozenset({4, 5}), 1, 4),
     ]
+    # the split's visit tags are not reused: a later closure starts afresh
+    assert rsg._close(((0, -1), (2, -1))) == [~0, ~2]
     # an assigned node leaves the split, and its edges with it
     seen[1] = -1
     assert rsg._pieces(frozenset(nodes), nbrs, seen) == [
@@ -851,8 +853,6 @@ def test_pieces_split_and_shape():
         (frozenset({3}), 0, 3),
         (frozenset({4, 5}), 1, 4),
     ]
-    # the split's visit tags are not reused: a later closure starts afresh
-    assert rsg._close(((0, -1), (2, -1))) == [~0, ~2]
 
 
 def test_min_component_assignment_tree_beside_uncovered_node():
