@@ -113,6 +113,7 @@ class ReducedSolutionGraph:
         # active neighbours of each active node, in adjacency (ascending) order
         self.active_adj: list[list[int]] = [[] for _ in range(n)]
         self.step_touched: set[int] = set()
+        # nodes frozen or released uncovered since the last rechecking
         self._recheck_candidates: set[int] = set()
         self._mark_members: defaultdict[int, set[int]] = defaultdict(set)
         # versioned scratch, reset in O(1) by bumping the tag: _close stores
@@ -140,8 +141,8 @@ class ReducedSolutionGraph:
         ranks: RankAssignment | None = None,
     ) -> "ReducedSolutionGraph":
         """Build an RSG in a given state, mainly for tests, through the same
-        writers the evolution uses. Every frozen node needs a mark, and only
-        frozen nodes may have one (ValueError otherwise)."""
+        writers the evolution uses, which record for rechecking. A frozen node
+        needs a mark, and only frozen nodes may have one (ValueError otherwise)."""
         rsg = cls(graph, ranks)
         act = range(graph.n) if active is None else sorted(active)
         for u in act:
@@ -156,8 +157,6 @@ class ReducedSolutionGraph:
                 rsg._freeze_literals((u if st == POS_FROZEN else ~u,), m)
         for u, v in doubles:
             rsg.set_double(u, v)
-        # hand-built states have no change history: let rechecking scan everything
-        rsg._recheck_candidates.update(act)
         return rsg
 
     # ------------------------------------------------------- state transitions
@@ -180,25 +179,19 @@ class ReducedSolutionGraph:
         """Freeze the literals lits (x for +1, ~x for -1; active, unfrozen and
         unmarked nodes) with mark m, in order; the nodes frozen.
 
-        The one freeze writer. It records as rechecking candidates every
-        covered non-root node (one not marked by itself) it freezes, and every
-        covered non-root neighbour of a node it freezes uncovered
-        (eligibility can only switch on here and in releasing).
+        The one freeze writer. It records each node it freezes uncovered for
+        rechecking, which alone decides what may fire.
         """
-        state, mark, aadj = self.state, self.mark, self.active_adj
-        cands = self._recheck_candidates
+        state, mark = self.state, self.mark
+        recorded = self._recheck_candidates
         nodes = []
         for x in lits:
             if x >= 0:
-                for w in aadj[x]:
-                    if state[w] == NEG_FROZEN and mark[w] != w:
-                        cands.add(w)
                 state[x] = POS_FROZEN
+                recorded.add(x)
             else:
                 x = ~x
                 state[x] = NEG_FROZEN
-                if x != m:
-                    cands.add(x)
             mark[x] = m
             nodes.append(x)
         self._mark_members[m].update(nodes)
@@ -321,17 +314,14 @@ class ReducedSolutionGraph:
     def releasing(self, nodes) -> None:
         """Unfreeze the given frozen nodes, clearing their marks.
 
-        The order does not matter: a release only inserts into sets. The
-        covered non-root neighbours of a released uncovered node become
-        rechecking candidates.
+        The order does not matter: a release only inserts into sets. Each
+        released uncovered node is recorded for rechecking.
         """
-        state, mark, aadj = self.state, self.mark, self.active_adj
-        cands, members, touched = self._recheck_candidates, self._mark_members, self.step_touched
+        state, mark, members = self.state, self.mark, self._mark_members
+        recorded, touched = self._recheck_candidates, self.step_touched
         for x in nodes:
             if state[x] == POS_FROZEN:
-                for w in aadj[x]:
-                    if state[w] == NEG_FROZEN and mark[w] != w:
-                        cands.add(w)
+                recorded.add(x)
             members[mark[x]].discard(x)
             state[x] = UNFROZEN
             mark[x] = NO_MARK
@@ -388,14 +378,22 @@ class ReducedSolutionGraph:
         still pins it, and unfreezing it collapses the energy level. Repeats
         until no node qualifies, scanning ascending (rank, id).
 
-        Candidates accumulate across steps: the freeze writer and releasing
-        record them on every change, but run_mbea calls this only after
-        cases A and E, so most fires act on candidates that earlier B, C and D
-        steps and closure sweeps left, far from the current step's changes.
+        Only this method decides who may fire. The writers record each node
+        they freeze or release uncovered, and the candidates are the covered
+        non-root neighbours of the recorded nodes. Every node that can fire
+        is one: a node x frozen covered by a cascade it does not root got -x
+        from +y => -x for a neighbour y frozen uncovered in the same writer
+        call (from_parts writes hand-built nodes the same way); a node already
+        covered turns eligible only when an uncovered neighbour appears,
+        disappears or changes mark, which freezes or releases that neighbour.
+        Records accumulate across steps (run_mbea calls this only after cases
+        A and E); a candidate that cannot fire is dropped, as only a recorded
+        change can make it eligible again.
         """
         rank, n = self.ranks.rank, self.graph.n
         state, mark, aadj = self.state, self.mark, self.active_adj
-        cands = self._recheck_candidates
+        recorded = self._recheck_candidates
+        heap: list[int] = []
 
         def partner(u: int) -> int:
             # u's one uncovered neighbour when u may fire, else -1; self-rooted
@@ -411,12 +409,15 @@ class ReducedSolutionGraph:
                     v = w
             return v if v >= 0 and mark[v] == m else -1
 
-        # an ineligible candidate can turn eligible only through a writer,
-        # which records it again, so dropping it here is safe; integer keys
-        # rank*n + id pop in ascending (rank, id) order
-        heap = [rank[x] * n + x for x in cands if partner(x) >= 0]
-        heapq.heapify(heap)
-        cands.clear()
+        def push_candidates() -> None:
+            # the covered non-root neighbours of the recorded nodes; integer
+            # keys rank*n + id pop in ascending (rank, id) order
+            for w in {w for x in recorded for w in aadj[x] if state[w] == NEG_FROZEN}:
+                if mark[w] != w and partner(w) >= 0:
+                    heapq.heappush(heap, rank[w] * n + w)
+            recorded.clear()
+
+        push_candidates()
         while heap:
             u = heapq.heappop(heap) % n
             v = partner(u)
@@ -429,11 +430,7 @@ class ReducedSolutionGraph:
                 if state[w] != NEG_FROZEN or not self.has_foreign_pos_neighbour(w, m)
             ])
             self.set_double(u, v)
-            # merge candidates created by the releases into the live scan
-            for x in cands:
-                if partner(x) >= 0:
-                    heapq.heappush(heap, rank[x] * n + x)
-            cands.clear()
+            push_candidates()
 
     # --------------------------------------------------------- odd-cycle break
 
@@ -704,20 +701,20 @@ class ReducedSolutionGraph:
             pieces.sort(key=lambda p: min(p[0]))
         return pieces
 
-    def _tree_solve(self, nodes: frozenset):
+    def _tree_solve(self, nodes: frozenset, nbrs):
         """Minimum covered count of a tree piece by dynamic programming, and
         an assignment at that count, +1 preferred on ties.
 
-        Assumes every outside neighbour of the piece is covered (frozen
-        negative or already assigned -1), so only inside edges constrain.
-        O(size).
+        nbrs maps each node to its unfrozen neighbours. Assumes every outside
+        neighbour of the piece is covered (frozen negative or already
+        assigned -1), so only inside edges constrain. O(size).
         """
-        adj, dadj = self.graph.adjacency, self.double_adj
+        dadj = self.double_adj
         root = min(nodes)
         parent = {root: root}
         order = [root]
         for x in order:
-            for w in adj[x]:
+            for w in nbrs[x]:
                 if w in nodes and w not in parent:
                     parent[w] = x
                     order.append(w)
@@ -768,7 +765,7 @@ class ReducedSolutionGraph:
         # most sparse-graph components: skip the split, the memo and the
         # search's O(n) assignment (comp is connected)
         if sum(map(len, nbrs.values())) == 2 * (len(comp) - 1):
-            return self._tree_solve(frozenset(comp))[1]
+            return self._tree_solve(frozenset(comp), nbrs)[1]
         seen = [0] * self.graph.n  # the search's assignment, cleared after each branch
         ((piece, edges, branch_node),) = self._pieces(comp, nbrs, seen)
         memo: dict[frozenset, tuple] = {}
@@ -781,7 +778,7 @@ class ReducedSolutionGraph:
             if got is not None:
                 return got[0]
             if edges == len(piece) - 1:
-                count, spins = self._tree_solve(piece)
+                count, spins = self._tree_solve(piece, nbrs)
                 memo[piece] = (count, TREE, spins)
                 return count
             budget[0] -= len(piece)

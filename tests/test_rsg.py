@@ -310,37 +310,66 @@ def test_rechecking_skips_foreign_pair():
     assert rsg.state[1] == POS_FROZEN
 
 
-def test_every_eligible_node_is_a_recheck_candidate_after_each_step(monkeypatch):
-    """rechecking scans only its recorded candidates, so the writers must
-    record every node that may fire: after every step, each NEG-frozen node
-    marked by another root whose one uncovered neighbour carries the same
-    mark is in _recheck_candidates."""
+def _recheck_corpus():
     from test_golden import corpus
 
+    graphs = [g for _, g in corpus()]
+    return graphs + [generate_er(GenConfig(300, float(c), 3)) for c in range(1, 7)]
+
+
+def test_every_eligible_node_is_a_recheck_candidate_after_each_step(monkeypatch):
+    """rechecking examines only the covered non-root neighbours of the nodes
+    the writers recorded, so those must include every node that may fire:
+    after every step, each NEG-frozen node marked by another root whose one
+    uncovered neighbour carries the same mark borders a node in
+    _recheck_candidates."""
     sweep = ReducedSolutionGraph.break_odd_cycles
     steps = [0]
 
     def checked_sweep(self, touched):
         sweep(self, touched)  # the last act of every step
         state, mark, aadj = self.state, self.mark, self.active_adj
+        recorded = self._recheck_candidates
         missing = []
         for u in range(self.graph.n):
             if state[u] != NEG_FROZEN or mark[u] == u:
                 continue
             uncovered = [w for w in aadj[u] if state[w] == POS_FROZEN]
-            if len(uncovered) != 1:
+            if len(uncovered) != 1 or mark[uncovered[0]] != mark[u]:
                 continue
-            if mark[uncovered[0]] == mark[u] and u not in self._recheck_candidates:
+            if not any(w in recorded for w in aadj[u]):
                 missing.append(u)
         assert not missing, (self.graph, missing)
         steps[0] += 1
 
     monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", checked_sweep)
-    graphs = [g for _, g in corpus()]
-    graphs += [generate_er(GenConfig(300, float(c), 3)) for c in range(1, 7)]
+    graphs = _recheck_corpus()
     for g in graphs:
         run_mbea(g)
     assert steps[0] == sum(g.n for g in graphs)
+
+
+def test_cascade_covers_a_non_root_only_beside_a_node_it_uncovers(monkeypatch):
+    """The first case of rechecking's argument: every covered non-root node a
+    freeze writer call freezes has a neighbour the same call froze uncovered,
+    so recording the uncovered nodes reaches it."""
+    write = ReducedSolutionGraph._freeze_literals
+    checked = [0]
+
+    def checked_write(self, lits, m):
+        nodes = write(self, lits, m)
+        uncovered = {x for x in lits if x >= 0}
+        for lit in lits:
+            x = ~lit
+            if lit < 0 and x != m:
+                assert any(w in uncovered for w in self.active_adj[x]), (self.graph, x, m)
+                checked[0] += 1
+        return nodes
+
+    monkeypatch.setattr(ReducedSolutionGraph, "_freeze_literals", checked_write)
+    for g in _recheck_corpus():
+        run_mbea(g)
+    assert checked[0] > 0
 
 
 # ----------------------------------------------------------- odd cycle break
