@@ -41,8 +41,12 @@ def represented_faults(g, ref: CoreFreeCovers):
 
 
 def seed_range(text: str) -> range:
+    """'1-40' or '7' as a range of seeds; a descending range is a usage error."""
     lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
+    lo, hi = int(lo), int(hi or lo)
+    if hi < lo:
+        raise ValueError(f"descending seed range {text!r}")
+    return range(lo, hi + 1)
 
 
 def main() -> int:
