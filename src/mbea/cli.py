@@ -175,9 +175,9 @@ def _cmd_experiment(args, runner) -> int:
     rows = runner(cfg)
     if args.format == "csv":
         _write(rows_to_csv(rows), args.out)
-        if args.out is not None:
-            mirror = args.out.with_suffix(".json")
-            mirror.write_text(rows_to_json(rows))
+        # the JSON mirror sits beside the CSV, unless --out already names it
+        if args.out is not None and args.out.suffix != ".json":
+            args.out.with_suffix(".json").write_text(rows_to_json(rows))
     else:
         _write(rows_to_json(rows), args.out)
     # the reports leave a refused point's error blank; say why, and fail

@@ -14,16 +14,17 @@ change the structure: freezing(i, state) roots a cascade at i (a backbone) and
 freezes what it forces; releasing(nodes) unfreezes the nodes release_set picks
 by mark, sparing covered ones a foreign uncovered neighbour pins (checking rule).
 
-Spin propagation implements the two rules as implications:
-  x = +1  =>  every active neighbour of x is -1
-  x = -1  =>  every double partner of x is +1
-One kernel, _close, propagates them for the case dispatch, the closure sweep,
-the validator, freezing (which freezes what the kernel's worklist reached),
-and the searches that minimise and enumerate the unfrozen components. It runs
-iteratively (cascades can reach the whole graph, so no recursion) on fresh
-scratch tags, or on the partial assignment a search owns, which it extends
-and leaves as it was on a conflict; it writes nothing else, and its callers
-act on the literals it returns.
+Spin propagation implements the two rules as implications between literals,
+x for x = +1 and ~x for x = -1 (the implications of a 2-CNF):
+  +x  =>  -w for every active neighbour w of x
+  -x  =>  +w for every double partner w of x
+One kernel, _close, propagates them, both signs in one loop, for the case
+dispatch, the closure sweep, the validator, freezing (which freezes what the
+kernel's worklist reached), and the searches that minimise and enumerate the
+unfrozen components. Its callers pass literals and act on the literals it
+returns. It runs iteratively (cascades can reach the whole graph, so no
+recursion) on fresh scratch tags, or on the partial assignment a search owns,
+which it extends and leaves as it was on a conflict; it writes nothing else.
 
 One search, _pieces, splits the unfrozen nodes into connected pieces, for
 unfrozen_components and for the minimiser's branches and replay. It walks
@@ -34,12 +35,13 @@ is a component of the unassigned nodes, so sibling and ancestor pieces are
 never adjacent, and a branch closure stays inside the piece it branches.
 
 The closure sweep records a probe's passes from the literals _close returns
-(_probe) and keeps them across sweeps; a pass goes stale only when its node
-is touched (see break_odd_cycles). It probes the head of a double-edge chain
-before the literal it reaches (+w implies -p implies +x, where p is x's only
-double partner and w is p's only other unpassed neighbour), the
-failed-literal rule of SAT preprocessing: one pass certifies the whole chain
-below the head, so a long alternating chain costs n probes instead of n^2/16.
+(_probe), in one table _ok indexed by literal, and keeps them across sweeps;
+a pass goes stale only when its node is touched (see break_odd_cycles). It
+probes the head of a double-edge chain before the literal it reaches (+w
+implies -p implies +x, where p is x's only double partner and w is p's only
+other unpassed neighbour), the failed-literal rule of SAT preprocessing: one
+pass certifies the whole chain below the head, so a long alternating chain
+costs n probes instead of n^2/16.
 """
 
 from __future__ import annotations
@@ -121,10 +123,10 @@ class ReducedSolutionGraph:
         # it visits
         self._ptag = [0] * n
         self._tag = 0
-        # probe passes of the closure sweep: +u / -u propagates without
-        # conflict; kept across sweeps until a sweep starts with u touched
-        self._okp = [False] * n
-        self._okn = [False] * n
+        # probe passes of the closure sweep, indexed by literal (~u falls in
+        # the second half): the literal propagates without conflict; kept
+        # across sweeps until a sweep starts with u touched
+        self._ok = [False] * (2 * n)
         # unfrozen components min_component_assignment left to its fallback
         self.fallbacks = 0
 
@@ -221,9 +223,9 @@ class ReducedSolutionGraph:
 
     # ------------------------------------------------------------- propagation
 
-    def _close(self, seeds, virt=(), seen=None) -> list[int] | None:
-        """Close seed (node, spin) pairs under the two rules: the literals
-        assigned, seeds first, or None on a conflict.
+    def _close(self, lits, virt=(), seen=None) -> list[int] | None:
+        """Close seed literals (x for +1, ~x for -1) under the two rules: the
+        literals assigned, seeds first, or None on a conflict.
 
         Frozen nodes end the walk: an uncovered neighbour of a +1 node or a
         covered double partner of a -1 node is a conflict. Nodes in virt
@@ -240,44 +242,46 @@ class ReducedSolutionGraph:
             tag = 1
         ntag = -tag
         state, aadj, dadj = self.state, self.active_adj, self.double_adj
-        work: list[int] = []  # literals: x for x = +1, ~x for x = -1
+        work: list[int] = []
         # a conflict breaks out of the loops to the one rollback below
-        for x, val in seeds:
-            t = tag if val == 1 else ntag
+        for lit in lits:
+            x, t = (lit, tag) if lit >= 0 else (~lit, ntag)
             if seen[x] != t:
                 if seen[x] == -t:
                     break
                 seen[x] = t
-                work.append(x if val == 1 else ~x)
+                work.append(lit)
         else:
             # the list grows while it is walked: a breadth-first worklist
             for lit in work:
+                # +x implies -w for its active neighbours w, -x implies +w for
+                # its double partners: the literal w ^ flip, tagged t, or a
+                # clash with a frozen w in state clash. (One tuple assignment
+                # here cost the loop a tenth.)
                 if lit >= 0:
-                    for w in aadj[lit]:
-                        st = state[w]
-                        if st != UNFROZEN and w not in virt:
-                            if st == POS_FROZEN:
-                                break
-                        elif (t := seen[w]) != ntag:
-                            if t == tag:
-                                break
-                            seen[w] = ntag
-                            work.append(~w)
-                    else:
-                        continue
+                    succ = aadj[lit]
+                    flip = -1
+                    t = ntag
+                    nt = tag
+                    clash = POS_FROZEN
                 else:
-                    for w in dadj[~lit]:
-                        st = state[w]
-                        if st != UNFROZEN and w not in virt:
-                            if st == NEG_FROZEN:
-                                break
-                        elif (t := seen[w]) != tag:
-                            if t == ntag:
-                                break
-                            seen[w] = tag
-                            work.append(w)
-                    else:
-                        continue
+                    succ = dadj[~lit]
+                    flip = 0
+                    t = tag
+                    nt = ntag
+                    clash = NEG_FROZEN
+                for w in succ:
+                    st = state[w]
+                    if st != UNFROZEN and w not in virt:
+                        if st == clash:
+                            break
+                    elif (s := seen[w]) != t:
+                        if s == nt:
+                            break
+                        seen[w] = t
+                        work.append(w ^ flip)
+                else:
+                    continue
                 break
             else:
                 return work
@@ -291,7 +295,7 @@ class ReducedSolutionGraph:
         for t in targets:
             if not self.active[t] or self.state[t] != UNFROZEN:
                 raise ValueError(f"target {t} must be active and unfrozen")
-        return self._close([(t, -1) for t in targets]) is not None
+        return self._close([~t for t in targets]) is not None
 
     # ------------------------------------------------------- freeze and release
 
@@ -306,7 +310,7 @@ class ReducedSolutionGraph:
         """
         if not self.active[i] or self.state[i] != UNFROZEN:
             raise ValueError(f"node {i} must be active and unfrozen to freeze")
-        work = self._close(((i, 1 if state == POS_FROZEN else -1),))
+        work = self._close((i if state == POS_FROZEN else ~i,))
         if work is None:
             return None
         return self._freeze_literals(work, i)
@@ -363,7 +367,7 @@ class ReducedSolutionGraph:
         with the released nodes counted as unfrozen. When it would, freezing
         any one node keeps the represented cover size; the new node is the
         convenient choice."""
-        return self._close(((i, 1),), virt=released) is None
+        return self._close((i,), virt=released) is None
 
     def rechecking(self) -> None:
         """Release covered backbones that lost all but one uncovered neighbour.
@@ -443,12 +447,12 @@ class ReducedSolutionGraph:
         (a cycle), and returns the last node reached, x itself when no step
         is possible.
         """
-        state, aadj, dadj, okp = self.state, self.active_adj, self.double_adj, self._okp
+        state, aadj, dadj, ok = self.state, self.active_adj, self.double_adj, self._ok
         seen = {x}
         while len(dadj[x]) == 1:
             up = -1
             for w in aadj[dadj[x][0]]:
-                if not okp[w] and w != x and state[w] == UNFROZEN:
+                if not ok[w] and w != x and state[w] == UNFROZEN:
                     if up >= 0:
                         return x
                     up = w
@@ -458,19 +462,13 @@ class ReducedSolutionGraph:
             x = up
         return x
 
-    def _probe(self, u: int, v: int) -> bool:
-        """Does u = v propagate without conflict? A pass records every
-        literal the closure assigned as passing (_okp/_okn)."""
-        work = self._close(((u, v),))
-        if work is None:
-            return False
-        okp, okn = self._okp, self._okn
-        for lit in work:
-            if lit >= 0:
-                okp[lit] = True
-            else:
-                okn[~lit] = True
-        return True
+    def _probe(self, lit: int) -> bool:
+        """Does the literal lit propagate without conflict? A pass marks
+        every literal the closure assigned as passing in _ok."""
+        work = self._close((lit,))
+        for x in work or ():
+            self._ok[x] = True
+        return work is not None
 
     def break_odd_cycles(self, touched) -> None:
         """Freeze implied backbones and restore the single energy level.
@@ -494,12 +492,13 @@ class ReducedSolutionGraph:
         (_probe) records every literal it assigned as passing, and the passes
         alone decide which literals are probed: a passing literal is not
         probed again, in this sweep or a later one, until its node is
-        touched. A sweep whose touched nodes include an unfrozen one (after
-        case A or E, whose new node is unfrozen) clears the passes of the
-        touched unfrozen nodes and seeds them. A freeze-only step (cases B, C
-        and D) clears no pass and seeds the unfrozen neighbours of what it
-        froze, whose slack conditions changed. So every unfrozen node holds
-        its passes when a sweep ends.
+        touched. One rule seeds the sweep: it clears the passes of the
+        touched unfrozen nodes and seeds them, and, as after each freeze of
+        its own, seeds the unfrozen neighbours of the touched frozen nodes,
+        whose slack conditions changed. (A case A or E step touches only
+        nodes it activates or releases, a case B, C or D step only nodes its
+        cascade freezes.) So every unfrozen node holds its passes when a
+        sweep ends.
 
         Why a pass stays valid until its node is touched. Before a step the
         RSG is closed, as every sweep leaves it: every unfrozen literal
@@ -547,49 +546,46 @@ class ReducedSolutionGraph:
         n = self.graph.n
         active, state = self.active, self.state
         aadj, dadj = self.active_adj, self.double_adj
-        okp, okn = self._okp, self._okn
-        seeds = [x for x in touched if active[x] and state[x] == UNFROZEN]
-        if seeds:
-            for x in seeds:
-                okp[x] = okn[x] = False
-        else:
-            # a freeze-only step: the slack conditions of the frozen nodes'
-            # unfrozen neighbours are what changed
-            seeds = {w for x in touched for w in aadj[x] if state[w] == UNFROZEN}
+        ok = self._ok
+        unfrozen = [x for x in touched if active[x] and state[x] == UNFROZEN]
+        for x in unfrozen:
+            ok[x] = ok[~x] = False
         # integer keys rank*n + id pop in ascending (rank, id) order
-        heap = [rank[u] * n + u for u in seeds]
+        heap = [rank[u] * n + u for u in unfrozen]
         heapq.heapify(heap)
 
-        def freeze(u: int, new_state: int) -> None:
+        def seed_nbrs(frozen) -> None:
             # freezing removes implications, so passes stay valid; only the
-            # slack conditions of bystanders need a second look
+            # slack conditions of the frozen nodes' neighbours need a look
+            for w in {w for x in frozen for w in aadj[x] if state[w] == UNFROZEN}:
+                heapq.heappush(heap, rank[w] * n + w)
+
+        def freeze(u: int, new_state: int) -> None:
             nodes = self.freezing(u, new_state)
             if nodes is None:  # a failed probe's opposite cascade must close
                 raise RsgInvariantError(f"{u} fails both ways: no represented cover")
-            for x in nodes:
-                for w in aadj[x]:
-                    if state[w] == UNFROZEN:
-                        heapq.heappush(heap, rank[w] * n + w)
+            seed_nbrs(nodes)
 
+        seed_nbrs([x for x in touched if state[x] != UNFROZEN])
         while heap:
             key = heapq.heappop(heap)
             u = key % n
             if state[u] != UNFROZEN:
                 continue
-            if not okp[u]:
+            if not ok[u]:
                 # climbs through a partner of higher degree mostly went
                 # nowhere and cost small dense graphs time
                 if len(dadj[u]) == 1 and len(aadj[dadj[u][0]]) == 2:
                     h = self._chain_head(u)
                     if h != u:
-                        self._probe(h, 1)
-                if not okp[u] and not self._probe(u, 1):
+                        self._probe(h)
+                if not ok[u] and not self._probe(u):
                     freeze(u, NEG_FROZEN)
                     continue
             # -1 propagates only through double partners (all active); without
             # any the cone is trivially the node itself
             if dadj[u]:
-                if not okn[u] and not self._probe(u, -1):
+                if not ok[~u] and not self._probe(~u):
                     freeze(u, POS_FROZEN)
                 continue
             # frozen neighbours here are all covered (an uncovered one
@@ -603,7 +599,7 @@ class ReducedSolutionGraph:
                 w = unfrozen_nbrs[0]
                 self.set_double(u, w)
                 # only -u and -w changed closure (part 3 above)
-                okn[u] = okn[w] = False
+                ok[~u] = ok[~w] = False
                 heapq.heappush(heap, key)
                 heapq.heappush(heap, rank[w] * n + w)
 
@@ -625,27 +621,28 @@ class ReducedSolutionGraph:
         Iterative, since the decision depth grows with the component.
         """
         seen = [0] * self.graph.n
-        decisions: list[tuple[int, int, list[int]]] = []  # (position, spin, literals)
-        i, v = 0, 1
+        # (position i, flip, literals): order[i] ^ flip, +1 (flip 0) before -1
+        decisions: list[tuple[int, int, list[int]]] = []
+        i, flip = 0, 0
         while True:
             while i < len(order) and seen[order[i]]:
                 i += 1
             if i == len(order):
                 yield {x: seen[x] for x in order}
-            elif (lits := self._close(((order[i], v),), seen=seen)) is not None:
-                decisions.append((i, v, lits))
-                i, v = i + 1, 1
+            elif (lits := self._close((order[i] ^ flip,), seen=seen)) is not None:
+                decisions.append((i, flip, lits))
+                i, flip = i + 1, 0
                 continue
-            elif v == 1:
-                v = -1
+            elif not flip:
+                flip = -1
                 continue
             # backtrack to the latest decision that can still take -1
             while decisions:
-                i, v, lits = decisions.pop()
+                i, flip, lits = decisions.pop()
                 for lit in lits:
                     seen[lit if lit >= 0 else ~lit] = 0
-                if v == 1:
-                    v = -1
+                if not flip:
+                    flip = -1
                     break
             else:
                 return
@@ -762,15 +759,18 @@ class ReducedSolutionGraph:
         the 80 graphs (c=2..10), 10 of them by budget.
         """
         nbrs = self._unfrozen_nbrs(comp)
-        # most sparse-graph components: skip the split, the memo and the
-        # search's O(n) assignment (comp is connected)
-        if sum(map(len, nbrs.values())) == 2 * (len(comp) - 1):
+        degrees = sum(map(len, nbrs.values()))
+        # most sparse-graph components: skip the memo and the search's O(n)
+        # assignment (comp is connected)
+        if degrees == 2 * (len(comp) - 1):
             return self._tree_solve(frozenset(comp), nbrs)[1]
         seen = [0] * self.graph.n  # the search's assignment, cleared after each branch
-        ((piece, edges, branch_node),) = self._pieces(comp, nbrs, seen)
+        # the whole component is the first piece: _pieces's shape without its walk
+        piece, edges = frozenset(comp), degrees // 2
+        branch_node = min(comp, key=lambda u: (-len(nbrs[u]), u))
+        # per piece: (covered count, branch literal, None) or (count, None, tree spins)
         memo: dict[frozenset, tuple] = {}
         budget = [_WORK_BUDGET]
-        TREE = 0  # sentinel spin marking a tree-solved piece, its spins kept
 
         def min_count(shaped) -> int:
             piece, edges, branch_node = shaped
@@ -779,29 +779,29 @@ class ReducedSolutionGraph:
                 return got[0]
             if edges == len(piece) - 1:
                 count, spins = self._tree_solve(piece, nbrs)
-                memo[piece] = (count, TREE, spins)
+                memo[piece] = (count, None, spins)
                 return count
             budget[0] -= len(piece)
             if budget[0] < 0:
                 raise _BranchBudgetOut
-            best = best_spin = None
-            for v in (1, -1):
+            best = best_lit = None
+            for lit in (branch_node, ~branch_node):
                 # the closure stays in the piece: outer branches hold the rest
-                lits = self._close(((branch_node, v),), seen=seen)
+                lits = self._close((lit,), seen=seen)
                 if lits is None:
                     continue
                 rest = self._pieces(piece, nbrs, seen)
-                total = sum(1 for lit in lits if lit < 0)
+                total = sum(1 for x in lits if x < 0)
                 total += sum(min_count(p) for p in rest)
-                for lit in lits:
-                    seen[lit if lit >= 0 else ~lit] = 0
+                for x in lits:
+                    seen[x if x >= 0 else ~x] = 0
                 if best is None or total < best:
-                    best, best_spin = total, v
+                    best, best_lit = total, lit
             if best is None:
                 raise RsgInvariantError(
                     f"piece containing {branch_node} admits no assignment"
                 )
-            memo[piece] = (best, best_spin, branch_node)
+            memo[piece] = (best, best_lit, None)
             return best
 
         try:
@@ -817,12 +817,12 @@ class ReducedSolutionGraph:
         stack = [piece]
         while stack:
             piece = stack.pop()
-            _, spin, step = memo[piece]  # step: branch node, or a tree's spins
-            if spin == TREE:
-                for x, s in step.items():
+            _, lit, spins = memo[piece]
+            if spins is not None:
+                for x, s in spins.items():
                     seen[x] = s
                 continue
-            if self._close(((step, spin),), seen=seen) is None:
+            if self._close((lit,), seen=seen) is None:
                 return None
             stack.extend(p[0] for p in self._pieces(piece, nbrs, seen))
         return {u: seen[u] for u in comp}
@@ -970,14 +970,12 @@ class ReducedSolutionGraph:
             for u in range(n):
                 if not active[u] or state[u] != UNFROZEN:
                     continue
-                if self._close(((u, 1),)) is None:
-                    raise RsgInvariantError(
-                        f"unfrozen node {u} cannot take +1 (missed implied backbone)"
-                    )
-                if self._close(((u, -1),)) is None:
-                    raise RsgInvariantError(
-                        f"unfrozen node {u} cannot take -1 (missed implied backbone)"
-                    )
+                for lit in (u, ~u):
+                    if self._close((lit,)) is None:
+                        raise RsgInvariantError(
+                            f"unfrozen node {u} cannot take {'+1' if lit >= 0 else '-1'}"
+                            " (missed implied backbone)"
+                        )
                 if not self.double_adj[u]:
                     free = [w for w in aadj[u] if state[w] == UNFROZEN]
                     if len(free) < 2:

@@ -161,6 +161,18 @@ def test_experiment_csv_and_mirror(tmp_path, capsys):
     assert len(mirror) == 2
 
 
+def test_experiment_csv_out_named_json_keeps_the_csv(tmp_path, capsys):
+    """An --out ending in .json already names the mirror's path: the CSV is
+    written there, and no JSON overwrites it."""
+    argv = ["exp-backbones", "--c", "1", "--n", "20", "--instances", "2"]
+    assert main(argv) == 0
+    csv = capsys.readouterr().out
+    out = tmp_path / "r.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text() == csv
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
 def test_experiment_json_format(capsys):
     code = main(
         ["exp-backbones", "--c", "0.0", "--n", "10", "--instances", "2", "--format", "json"]

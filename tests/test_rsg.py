@@ -77,14 +77,14 @@ def test_conflicting_extension_leaves_the_kept_assignment():
         g, states={4: POS_FROZEN}, marks={4: 4}, doubles=[(2, 3)]
     )
     seen = [0] * 5
-    assert rsg._close(((0, 1),), seen=seen) == [0, ~1]
+    assert rsg._close((0,), seen=seen) == [0, ~1]
     assert seen == [1, -1, 0, 0, 0]
-    assert rsg._close(((2, -1),), seen=seen) is None
+    assert rsg._close((~2,), seen=seen) is None
     assert seen == [1, -1, 0, 0, 0]
-    assert rsg._close(((2, 1),), seen=seen) == [2, ~3]
+    assert rsg._close((2,), seen=seen) == [2, ~3]
     assert seen == [1, -1, 1, -1, 0]
     # an assigned literal is not walked again
-    assert rsg._close(((0, 1),), seen=seen) == []
+    assert rsg._close((0,), seen=seen) == []
 
 
 def test_interleaved_searches_keep_their_own_assignments():
@@ -462,8 +462,7 @@ def test_probe_passes_kept_across_sweeps_match_fresh_probes(monkeypatch):
     sweep = ReducedSolutionGraph.break_odd_cycles
 
     def fresh_sweep(self, touched):
-        self._okp[:] = [False] * self.graph.n
-        self._okn[:] = [False] * self.graph.n
+        self._ok[:] = [False] * (2 * self.graph.n)
         return sweep(self, [u for u in range(self.graph.n) if self.active[u]])
 
     monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", fresh_sweep)
@@ -504,11 +503,11 @@ def test_passes_go_stale_only_at_touched_nodes(monkeypatch):
         state = self.state
         if any(state[x] == UNFROZEN for x in touched):
             failing = [
-                (u, v)
+                lit
                 for u in range(self.graph.n)
                 if self.active[u] and state[u] == UNFROZEN and u not in touched
-                for v in (1, -1)
-                if self._close(((u, v),)) is None
+                for lit in (u, ~u)
+                if self._close((lit,)) is None
             ]
             assert not failing, (self.graph, failing)
             counts["sweeps"] += 1
@@ -522,8 +521,8 @@ def test_passes_go_stale_only_at_touched_nodes(monkeypatch):
         set_double(self, u, v)
         # inside a sweep only the slack rule adds double edges
         if in_sweep:
-            assert self._close(((u, -1),)) is not None, (self.graph, u, v)
-            assert self._close(((v, -1),)) is not None, (self.graph, u, v)
+            assert self._close((~u,)) is not None, (self.graph, u, v)
+            assert self._close((~v,)) is not None, (self.graph, u, v)
             counts["slack"] += 1
 
     monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", checked_sweep)
@@ -536,24 +535,22 @@ def test_passes_go_stale_only_at_touched_nodes(monkeypatch):
 
 
 def test_every_unfrozen_node_holds_its_passes_after_each_sweep(monkeypatch):
-    """The sweep probes a literal only when it has no pass, and a freeze-only
-    sweep seeds no node whose passes were cleared; so every sweep must leave
-    each active unfrozen node its +1 pass, and its -1 pass when it has a
-    double partner. Hand-built RSGs start without passes, so this is no
-    validate() check."""
+    """The sweep probes a literal only when it has no pass, and it clears
+    passes only of nodes it seeds; so every sweep must leave each active
+    unfrozen node u its +1 pass (_ok[u]), and its -1 pass (_ok[~u]) when it
+    has a double partner. Hand-built RSGs start without passes, so this is
+    no validate() check."""
     sweep = ReducedSolutionGraph.break_odd_cycles
 
     def checked_sweep(self, touched):
         # read before the sweep, whose freezes join step_touched
         kind = "additions" if any(self.state[x] == UNFROZEN for x in touched) else "freeze-only"
         sweep(self, touched)
-        active, state, okp, okn, dadj = (
-            self.active, self.state, self._okp, self._okn, self.double_adj
-        )
+        active, state, ok, dadj = self.active, self.state, self._ok, self.double_adj
         missing = [
             u
             for u in range(self.graph.n)
-            if active[u] and state[u] == UNFROZEN and not (okp[u] and (okn[u] or not dadj[u]))
+            if active[u] and state[u] == UNFROZEN and not (ok[u] and (ok[~u] or not dadj[u]))
         ]
         assert not missing, (self.graph, kind, missing)
 
@@ -563,6 +560,38 @@ def test_every_unfrozen_node_holds_its_passes_after_each_sweep(monkeypatch):
     graphs += [generate_er(GenConfig(1000, c, 1)) for c in (2.0, 4.0, 6.0)]
     for g in graphs:
         run_mbea(g)
+
+
+def test_each_sweep_starts_from_unfrozen_or_from_frozen_touched_nodes(monkeypatch):
+    """The fact behind the sweep's one seeding rule: a step of case A or E
+    touches only nodes it activates or releases, all unfrozen when the sweep
+    starts, and a step of case B, C or D only nodes its cascade froze. So
+    each sweep run_mbea starts takes one half of the rule."""
+    dispatch = solver._dispatch
+    sweep = ReducedSolutionGraph.break_odd_cycles
+    labels = []
+    kinds = {"AE": 0, "BCD": 0}
+
+    def recorded_dispatch(rsg, i):
+        labels.append(dispatch(rsg, i))
+        return labels[-1]
+
+    def checked_sweep(self, touched):
+        frozen = {self.state[x] != UNFROZEN for x in touched if self.active[x]}
+        kind = "AE" if labels.pop() in "AE" else "BCD"
+        assert frozen == {kind == "BCD"}, (self.graph, kind, sorted(touched))
+        kinds[kind] += 1
+        sweep(self, touched)
+
+    monkeypatch.setattr(solver, "_dispatch", recorded_dispatch)
+    monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", checked_sweep)
+    graphs = list(_random_graphs(240, seed=5))
+    graphs += [path_graph(n) for n in range(2, 40)]
+    graphs += [cycle_graph(n) for n in range(3, 40)]
+    graphs += [generate_er(GenConfig(300, float(c), 7)) for c in range(1, 7)]
+    for g in graphs:
+        run_mbea(g)
+    assert min(kinds.values()) > 1000, kinds
 
 
 def _dispatch_corpus():
@@ -620,7 +649,7 @@ def test_failed_simultaneity_check_fails_the_uncovered_closure(monkeypatch):
                 assert rsg.would_refreeze(i, released), (rsg.graph, i)
                 seen["overlay fails"] += 1
         else:
-            holds = rsg._close(((i, 1),)) is not None
+            holds = rsg._close((i,)) is not None
             assert holds == compatible, (rsg.graph, i)
             seen["both hold" if compatible else "both fail"] += 1
         return dispatch(rsg, i)
@@ -671,9 +700,9 @@ def test_chain_sweep_probes_each_literal_once(monkeypatch, kind, n):
     probe = ReducedSolutionGraph._probe
     probes = [0]
 
-    def counting_probe(self, u, v):
+    def counting_probe(self, lit):
         probes[0] += 1
-        return probe(self, u, v)
+        return probe(self, lit)
 
     monkeypatch.setattr(ReducedSolutionGraph, "_probe", counting_probe)
     run_mbea(path_graph(n) if kind == "path" else cycle_graph(n))
@@ -800,7 +829,7 @@ def test_min_count_branch_closures_stay_in_their_piece(monkeypatch):
     def checked_close(self, seeds, *args, **kwargs):
         lits = close(self, seeds, *args, **kwargs)
         if lits is not None and sys._getframe(1).f_code.co_name == "min_count":
-            piece = piece_of[seeds[0][0]]
+            piece = piece_of[seeds[0] if seeds[0] >= 0 else ~seeds[0]]
             assert all((lit if lit >= 0 else ~lit) in piece for lit in lits)
             checked[0] += 1
         return lits
@@ -874,7 +903,7 @@ def test_pieces_split_and_shape():
         (frozenset({4, 5}), 1, 4),
     ]
     # the split's visit tags are not reused: a later closure starts afresh
-    assert rsg._close(((0, -1), (2, -1))) == [~0, ~2]
+    assert rsg._close((~0, ~2)) == [~0, ~2]
     # an assigned node leaves the split, and its edges with it
     seen[1] = -1
     assert rsg._pieces(frozenset(nodes), nbrs, seen) == [
