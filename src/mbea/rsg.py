@@ -252,24 +252,19 @@ class ReducedSolutionGraph:
                 seen[x] = t
                 work.append(lit)
         else:
+            # +x implies -w for its active neighbours w, -x implies +w for its
+            # double partners: per sign, the literal w ^ flip, tagged t, or a
+            # clash with w tagged nt or frozen in state clash
+            pos = (-1, ntag, tag, POS_FROZEN)
+            neg = (0, tag, ntag, NEG_FROZEN)
             # the list grows while it is walked: a breadth-first worklist
             for lit in work:
-                # +x implies -w for its active neighbours w, -x implies +w for
-                # its double partners: the literal w ^ flip, tagged t, or a
-                # clash with a frozen w in state clash. (One tuple assignment
-                # here cost the loop a tenth.)
                 if lit >= 0:
                     succ = aadj[lit]
-                    flip = -1
-                    t = ntag
-                    nt = tag
-                    clash = POS_FROZEN
+                    flip, t, nt, clash = pos
                 else:
                     succ = dadj[~lit]
-                    flip = 0
-                    t = tag
-                    nt = ntag
-                    clash = NEG_FROZEN
+                    flip, t, nt, clash = neg
                 for w in succ:
                     st = state[w]
                     if st != UNFROZEN and w not in virt:
@@ -466,8 +461,9 @@ class ReducedSolutionGraph:
         """Does the literal lit propagate without conflict? A pass marks
         every literal the closure assigned as passing in _ok."""
         work = self._close((lit,))
+        ok = self._ok
         for x in work or ():
-            self._ok[x] = True
+            ok[x] = True
         return work is not None
 
     def break_odd_cycles(self, touched) -> None:
@@ -547,17 +543,20 @@ class ReducedSolutionGraph:
         active, state = self.active, self.state
         aadj, dadj = self.active_adj, self.double_adj
         ok = self._ok
-        unfrozen = [x for x in touched if active[x] and state[x] == UNFROZEN]
-        for x in unfrozen:
-            ok[x] = ok[~x] = False
-        # integer keys rank*n + id pop in ascending (rank, id) order
-        heap = [rank[u] * n + u for u in unfrozen]
+        # the seeding rule (docstring); keys rank*n + id pop in (rank, id) order
+        heap, frozen = [], []
+        for x in touched:
+            if state[x] != UNFROZEN:
+                frozen.append(x)
+            elif active[x]:
+                ok[x] = ok[~x] = False
+                heap.append(rank[x] * n + x)
         heapq.heapify(heap)
 
-        def seed_nbrs(frozen) -> None:
+        def seed_nbrs(nodes) -> None:
             # freezing removes implications, so passes stay valid; only the
             # slack conditions of the frozen nodes' neighbours need a look
-            for w in {w for x in frozen for w in aadj[x] if state[w] == UNFROZEN}:
+            for w in {w for x in nodes for w in aadj[x] if state[w] == UNFROZEN}:
                 heapq.heappush(heap, rank[w] * n + w)
 
         def freeze(u: int, new_state: int) -> None:
@@ -566,7 +565,7 @@ class ReducedSolutionGraph:
                 raise RsgInvariantError(f"{u} fails both ways: no represented cover")
             seed_nbrs(nodes)
 
-        seed_nbrs([x for x in touched if state[x] != UNFROZEN])
+        seed_nbrs(frozen)
         while heap:
             key = heapq.heappop(heap)
             u = key % n
