@@ -919,8 +919,8 @@ class ReducedSolutionGraph:
     def validate(self, deep: bool = False) -> None:
         """Raise RsgInvariantError on any broken structural invariant.
 
-        deep additionally checks the closure property: every active unfrozen
-        node can still take +1 under propagation.
+        deep additionally checks the closure property: both literals of each
+        active unfrozen node propagate, and none carries energy slack.
         """
         n = self.graph.n
         active, state, mark = self.active, self.state, self.mark
