@@ -115,8 +115,6 @@ class ReducedSolutionGraph:
         # active neighbours of each active node, in adjacency (ascending) order
         self.active_adj: list[list[int]] = [[] for _ in range(n)]
         self.step_touched: set[int] = set()
-        # nodes frozen or released uncovered since the last rechecking
-        self._recheck_candidates: set[int] = set()
         self._mark_members: defaultdict[int, set[int]] = defaultdict(set)
         # versioned scratch, reset in O(1) by bumping the tag: _close stores
         # +tag / -tag for a node it sets to +1 / -1, _pieces +tag for a node
@@ -143,8 +141,8 @@ class ReducedSolutionGraph:
         ranks: RankAssignment | None = None,
     ) -> "ReducedSolutionGraph":
         """Build an RSG in a given state, mainly for tests, through the same
-        writers the evolution uses, which record for rechecking. A frozen node
-        needs a mark, and only frozen nodes may have one (ValueError otherwise)."""
+        writers the evolution uses. A frozen node needs a mark, and only
+        frozen nodes may have one (ValueError otherwise)."""
         rsg = cls(graph, ranks)
         act = range(graph.n) if active is None else sorted(active)
         for u in act:
@@ -179,18 +177,14 @@ class ReducedSolutionGraph:
 
     def _freeze_literals(self, lits, m: int) -> list[int]:
         """Freeze the literals lits (x for +1, ~x for -1; active, unfrozen and
-        unmarked nodes) with mark m, in order; the nodes frozen.
-
-        The one freeze writer. It records each node it freezes uncovered for
-        rechecking, which alone decides what may fire.
+        unmarked nodes) with mark m, in order; the nodes frozen. The one
+        freeze writer.
         """
         state, mark = self.state, self.mark
-        recorded = self._recheck_candidates
         nodes = []
         for x in lits:
             if x >= 0:
                 state[x] = POS_FROZEN
-                recorded.add(x)
             else:
                 x = ~x
                 state[x] = NEG_FROZEN
@@ -310,21 +304,23 @@ class ReducedSolutionGraph:
             return None
         return self._freeze_literals(work, i)
 
-    def releasing(self, nodes) -> None:
-        """Unfreeze the given frozen nodes, clearing their marks.
+    def releasing(self, nodes) -> list[int]:
+        """Unfreeze the given frozen nodes, clearing their marks; the nodes
+        released uncovered, whose covered neighbours rechecking examines.
 
-        The order does not matter: a release only inserts into sets. Each
-        released uncovered node is recorded for rechecking.
+        The order does not matter: a release only inserts into sets.
         """
         state, mark, members = self.state, self.mark, self._mark_members
-        recorded, touched = self._recheck_candidates, self.step_touched
+        touched = self.step_touched
+        lost = []
         for x in nodes:
             if state[x] == POS_FROZEN:
-                recorded.add(x)
+                lost.append(x)
             members[mark[x]].discard(x)
             state[x] = UNFROZEN
             mark[x] = NO_MARK
             touched.add(x)
+        return lost
 
     def has_foreign_pos_neighbour(self, j: int, root_mark: int) -> bool:
         state, mark = self.state, self.mark
@@ -364,7 +360,7 @@ class ReducedSolutionGraph:
         convenient choice."""
         return self._close((i,), virt=released) is None
 
-    def rechecking(self) -> None:
+    def rechecking(self, lost) -> None:
         """Release covered backbones that lost all but one uncovered neighbour.
 
         A cascade-frozen covered node u whose only remaining uncovered
@@ -377,21 +373,13 @@ class ReducedSolutionGraph:
         still pins it, and unfreezing it collapses the energy level. Repeats
         until no node qualifies, scanning ascending (rank, id).
 
-        Only this method decides who may fire. The writers record each node
-        they freeze or release uncovered, and the candidates are the covered
-        non-root neighbours of the recorded nodes. Every node that can fire
-        is one: a node x frozen covered by a cascade it does not root got -x
-        from +y => -x for a neighbour y frozen uncovered in the same writer
-        call (from_parts writes hand-built nodes the same way); a node already
-        covered turns eligible only when an uncovered neighbour appears,
-        disappears or changes mark, which freezes or releases that neighbour.
-        Records accumulate across steps (run_mbea calls this only after cases
-        A and E); a candidate that cannot fire is dropped, as only a recorded
-        change can make it eligible again.
+        Only releasing removes an uncovered neighbour (freezing adds them,
+        activate adds an unfrozen node), so the candidates are the covered
+        neighbours of lost, the nodes a release unfroze from uncovered, and
+        then of the nodes each fire's own release unfroze from uncovered.
         """
         rank, n = self.ranks.rank, self.graph.n
         state, mark, aadj = self.state, self.mark, self.active_adj
-        recorded = self._recheck_candidates
         heap: list[int] = []
 
         def partner(u: int) -> int:
@@ -408,28 +396,26 @@ class ReducedSolutionGraph:
                     v = w
             return v if v >= 0 and mark[v] == m else -1
 
-        def push_candidates() -> None:
-            # the covered non-root neighbours of the recorded nodes; integer
-            # keys rank*n + id pop in ascending (rank, id) order
-            for w in {w for x in recorded for w in aadj[x] if state[w] == NEG_FROZEN}:
-                if mark[w] != w and partner(w) >= 0:
+        def push_candidates(nodes) -> None:
+            # integer keys rank*n + id pop in ascending (rank, id) order
+            for w in {w for x in nodes for w in aadj[x] if state[w] == NEG_FROZEN}:
+                if partner(w) >= 0:
                     heapq.heappush(heap, rank[w] * n + w)
-            recorded.clear()
 
-        push_candidates()
+        push_candidates(lost)
         while heap:
             u = heapq.heappop(heap) % n
             v = partner(u)
             if v < 0:
                 continue
             m = mark[u]
-            self.releasing([
+            lost = self.releasing([
                 w
                 for w in self._mark_members[m]
                 if state[w] != NEG_FROZEN or not self.has_foreign_pos_neighbour(w, m)
             ])
             self.set_double(u, v)
-            push_candidates()
+            push_candidates(lost)
 
     # --------------------------------------------------------- odd-cycle break
 
@@ -753,9 +739,9 @@ class ReducedSolutionGraph:
         cycle rank exceeds _MAX_CYCLE_RANK, or whose cycle structure
         exhausts _WORK_BUDGET (charged len(piece) per cyclic piece branched,
         before its branches), fall back to the first satisfying assignment
-        and count in self.fallbacks; minimality is then heuristic. This is
-        common on cores: on ER n=2000, c=1..10, seeds 1-8, it fired on 28 of
-        the 80 graphs (c=2..10), 10 of them by budget.
+        and count in self.fallbacks; minimality is then heuristic. On ER
+        n=2000, c=1..10, seeds 1-8, it fired on 7 of the 80 graphs (c=2 and
+        3), 6 of them by budget.
         """
         nbrs = self._unfrozen_nbrs(comp)
         degrees = sum(map(len, nbrs.values()))

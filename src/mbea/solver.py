@@ -13,8 +13,9 @@ classified by num, its count of positively frozen neighbours, and by whether
      freezing influence cascades.
   D  num <= 1, +i fails: i is covered.
 
-_dispatch applies each case with releasing (A, E) or freezing (B, C, D);
-run_mbea then rechecks after A and E, and breaks odd cycles after every step.
+_dispatch applies each case with releasing (A, E), followed by rechecking
+of what the release uncovered, or with freezing (B, C, D); run_mbea then
+breaks odd cycles after every step.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def _dispatch(rsg: ReducedSolutionGraph, i: int) -> str:
     The closure that applies a case decides it: would_refreeze for A and E,
     freezing(i, POS_FROZEN) for C, which freezes nothing and returns None
     when +i fails. -i closes on itself (i has no double partner yet), so the
-    B and D freezes cannot fail.
+    B and D freezes cannot fail. A and E hand the nodes their release
+    uncovered to rechecking.
 
     The paper's simultaneity check, compatible_minus_one(W) over i's
     unfrozen neighbours W, needs no closure of its own. In a closed RSG each
@@ -96,7 +98,7 @@ def _dispatch(rsg: ReducedSolutionGraph, i: int) -> str:
             released = rsg.release_set(pos_nbrs, m)
             if not rsg.would_refreeze(i, released):
                 rsg.set_double(i, max(pos_nbrs, key=lambda p: (rank[p], p)))
-                rsg.releasing(released)
+                rsg.rechecking(rsg.releasing(released))
                 return "A" if single else "E"
         rsg.freezing(i, NEG_FROZEN)
         return "D" if single else "B"
@@ -131,9 +133,6 @@ def run_mbea(
     for i in order:
         rsg.activate(i)
         label = _dispatch(rsg, i)
-        # A and E release a cascade and add implications: recheck, then probe
-        if label in "AE":
-            rsg.rechecking()
         rsg.break_odd_cycles(rsg.step_touched)
         case_counts[label] += 1
         if trace_list is not None:

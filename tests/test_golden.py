@@ -17,8 +17,8 @@ import pytest
 from mbea.graphs import GenConfig, cycle_graph, generate_er, path_graph
 from mbea.solver import CASES, run_mbea
 
-GOLDEN = "df765bdda904a406a9db8c3d95f7a4025fb3dec3a8e9a751117ad6d9eda8e0ad"
-SPACE_GOLDEN = "47cb20325351d7bf4e0ec8ebc9f79bfd23ba987e0abd5f7780a61419af56105c"
+GOLDEN = "7d8b541fc1b387d2ff86403a369b8a82f7de112df3b85d5e9ff6583745aa339d"
+SPACE_GOLDEN = "e0b754daab726433669f698f7599818110e1f4d8937f183286c05a6251d8e178"
 
 
 def corpus():

@@ -145,8 +145,7 @@ def test_freezing_contradicting_cascade_returns_none_and_freezes_nothing():
 
     def snapshot():
         members = {m: set(s) for m, s in rsg._mark_members.items() if s}
-        return (rsg.state[:], rsg.mark[:], members,
-                set(rsg.step_touched), set(rsg._recheck_candidates))
+        return rsg.state[:], rsg.mark[:], members, set(rsg.step_touched)
 
     before = snapshot()
     assert rsg.freezing(0, POS_FROZEN) is None
@@ -225,35 +224,38 @@ def test_freeze_release_roundtrip_on_trees(g):
 
 
 def test_rechecking_vacuous():
+    # releasing the uncovered 0 leaves no covered neighbour to examine
     g = Graph(3, [(0, 1), (1, 2)])
-    rsg = all_unfrozen(g)
-    before = list(rsg.state)
-    rsg.rechecking()
-    assert list(rsg.state) == before
+    rsg = ReducedSolutionGraph.from_parts(g, states={0: POS_FROZEN}, marks={0: 0})
+    rsg.rechecking(rsg.releasing([0]))
+    assert list(rsg.state) == [UNFROZEN] * 3
+    assert rsg.edge_kind(0, 1) == rsg.edge_kind(1, 2) == "plain"
 
 
 def test_rechecking_two_foreign_pins_unchanged():
-    g = Graph(3, [(0, 1), (1, 2)])
+    # 1 loses its uncovered neighbour 3, its own root's, and keeps two
+    # foreign ones
+    g = Graph(4, [(0, 1), (1, 2), (1, 3)])
     rsg = ReducedSolutionGraph.from_parts(
         g,
-        states={0: POS_FROZEN, 1: NEG_FROZEN, 2: POS_FROZEN},
-        marks={0: 0, 1: 3, 2: 2},
-        active={0, 1, 2},
+        states={0: POS_FROZEN, 1: NEG_FROZEN, 2: POS_FROZEN, 3: POS_FROZEN},
+        marks={0: 0, 1: 3, 2: 2, 3: 3},
     )
-    rsg.rechecking()
+    rsg.rechecking(rsg.releasing([3]))
     assert rsg.state[1] == NEG_FROZEN
 
 
 def test_rechecking_releases_pair_and_cascade():
-    # 0 covered by cascade 2, its only uncovered neighbour 2 shares the mark;
-    # 1 is a further member of the same cascade
-    g = Graph(3, [(0, 2), (1, 2)])
+    # 0 covered by cascade 2 loses the foreign uncovered neighbour 3, so its
+    # only uncovered neighbour 2 shares the mark; 1 is a further member of
+    # the same cascade
+    g = Graph(4, [(0, 2), (1, 2), (0, 3)])
     rsg = ReducedSolutionGraph.from_parts(
         g,
-        states={0: NEG_FROZEN, 1: NEG_FROZEN, 2: POS_FROZEN},
-        marks={0: 2, 1: 2, 2: 2},
+        states={0: NEG_FROZEN, 1: NEG_FROZEN, 2: POS_FROZEN, 3: POS_FROZEN},
+        marks={0: 2, 1: 2, 2: 2, 3: 3},
     )
-    rsg.rechecking()
+    rsg.rechecking(rsg.releasing([3]))
     assert rsg.state[0] == UNFROZEN
     assert rsg.state[2] == UNFROZEN
     assert rsg.state[1] == UNFROZEN
@@ -261,18 +263,20 @@ def test_rechecking_releases_pair_and_cascade():
 
 
 def test_rechecking_releases_the_whole_cascade():
-    # 0 fires against 1; 2 belongs to the same cascade but no walk through
-    # cascade members reaches it; 3 is a member pinned by a foreign node 4
-    g = Graph(5, [(0, 1), (3, 4)])
+    # 0 fires against 1 once the foreign 5 is released; 2 belongs to the
+    # same cascade but no walk through cascade members reaches it; 3 is a
+    # member pinned by a foreign node 4
+    g = Graph(6, [(0, 1), (3, 4), (0, 5)])
     rsg = ReducedSolutionGraph.from_parts(
         g,
-        states={0: NEG_FROZEN, 1: POS_FROZEN, 2: POS_FROZEN, 3: NEG_FROZEN, 4: POS_FROZEN},
-        marks={0: 1, 1: 1, 2: 1, 3: 1, 4: 4},
+        states={0: NEG_FROZEN, 1: POS_FROZEN, 2: POS_FROZEN, 3: NEG_FROZEN,
+                4: POS_FROZEN, 5: POS_FROZEN},
+        marks={0: 1, 1: 1, 2: 1, 3: 1, 4: 4, 5: 5},
     )
     assert 2 not in rsg.release_set((0, 1), 1)
-    rsg.rechecking()
-    assert [rsg.state[u] for u in range(5)] == [
-        UNFROZEN, UNFROZEN, UNFROZEN, NEG_FROZEN, POS_FROZEN
+    rsg.rechecking(rsg.releasing([5]))
+    assert [rsg.state[u] for u in range(6)] == [
+        UNFROZEN, UNFROZEN, UNFROZEN, NEG_FROZEN, POS_FROZEN, UNFROZEN
     ]
     assert rsg.edge_kind(0, 1) == "double"
     rsg.validate()
@@ -300,12 +304,13 @@ def test_case_e_releases_union_of_entry_walks():
 
 
 def test_rechecking_skips_foreign_pair():
-    # the only uncovered neighbour belongs to a different cascade: no release
-    g = Graph(2, [(0, 1)])
+    # after the release of 2 the only uncovered neighbour belongs to a
+    # different cascade: no release
+    g = Graph(3, [(0, 1), (0, 2)])
     rsg = ReducedSolutionGraph.from_parts(
-        g, states={0: NEG_FROZEN, 1: POS_FROZEN}, marks={0: 5, 1: 1}, active={0, 1}
+        g, states={0: NEG_FROZEN, 1: POS_FROZEN, 2: POS_FROZEN}, marks={0: 5, 1: 1, 2: 2}
     )
-    rsg.rechecking()
+    rsg.rechecking(rsg.releasing([2]))
     assert rsg.state[0] == NEG_FROZEN
     assert rsg.state[1] == POS_FROZEN
 
@@ -317,59 +322,54 @@ def _recheck_corpus():
     return graphs + [generate_er(GenConfig(300, float(c), 3)) for c in range(1, 7)]
 
 
-def test_every_eligible_node_is_a_recheck_candidate_after_each_step(monkeypatch):
-    """rechecking examines only the covered non-root neighbours of the nodes
-    the writers recorded, so those must include every node that may fire:
-    after every step, each NEG-frozen node marked by another root whose one
-    uncovered neighbour carries the same mark borders a node in
-    _recheck_candidates."""
-    sweep = ReducedSolutionGraph.break_odd_cycles
-    steps = [0]
+def test_rechecking_fires_only_beside_a_release_of_the_same_step(monkeypatch):
+    """The rechecking rule is about a loss: a fire makes (u, v) double only
+    for a covered u that lost an uncovered neighbour to a release earlier in
+    the same step, and after each rechecking no eligible node (covered,
+    marked by another root, with one uncovered neighbour that carries the
+    same mark) borders a node released uncovered in that step."""
+    activate = ReducedSolutionGraph.activate
+    release = ReducedSolutionGraph.releasing
+    double = ReducedSolutionGraph.set_double
+    recheck = ReducedSolutionGraph.rechecking
+    # nodes released uncovered this step, and before the latest release
+    lost, before = set(), [set()]
+    inside, fires = [False], [0]
 
-    def checked_sweep(self, touched):
-        sweep(self, touched)  # the last act of every step
+    def step(self, i):
+        lost.clear()
+        before[0] = set()
+        activate(self, i)
+
+    def released(self, nodes):
+        before[0] = set(lost)
+        lost.update(x for x in nodes if self.state[x] == POS_FROZEN)
+        return release(self, nodes)
+
+    def doubled(self, u, v):
+        if inside[0]:  # a fire: u is the covered node, freed by its own release
+            assert any(w in before[0] for w in self.active_adj[u]), (self.graph, u, v)
+            fires[0] += 1
+        double(self, u, v)
+
+    def rechecked(self, lost_now):
+        inside[0] = True
+        recheck(self, lost_now)
+        inside[0] = False
         state, mark, aadj = self.state, self.mark, self.active_adj
-        recorded = self._recheck_candidates
-        missing = []
         for u in range(self.graph.n):
             if state[u] != NEG_FROZEN or mark[u] == u:
                 continue
             uncovered = [w for w in aadj[u] if state[w] == POS_FROZEN]
-            if len(uncovered) != 1 or mark[uncovered[0]] != mark[u]:
-                continue
-            if not any(w in recorded for w in aadj[u]):
-                missing.append(u)
-        assert not missing, (self.graph, missing)
-        steps[0] += 1
+            if len(uncovered) == 1 and mark[uncovered[0]] == mark[u]:
+                assert not any(w in lost for w in aadj[u]), (self.graph, u)
 
-    monkeypatch.setattr(ReducedSolutionGraph, "break_odd_cycles", checked_sweep)
-    graphs = _recheck_corpus()
-    for g in graphs:
-        run_mbea(g)
-    assert steps[0] == sum(g.n for g in graphs)
-
-
-def test_cascade_covers_a_non_root_only_beside_a_node_it_uncovers(monkeypatch):
-    """The first case of rechecking's argument: every covered non-root node a
-    freeze writer call freezes has a neighbour the same call froze uncovered,
-    so recording the uncovered nodes reaches it."""
-    write = ReducedSolutionGraph._freeze_literals
-    checked = [0]
-
-    def checked_write(self, lits, m):
-        nodes = write(self, lits, m)
-        uncovered = {x for x in lits if x >= 0}
-        for lit in lits:
-            x = ~lit
-            if lit < 0 and x != m:
-                assert any(w in uncovered for w in self.active_adj[x]), (self.graph, x, m)
-                checked[0] += 1
-        return nodes
-
-    monkeypatch.setattr(ReducedSolutionGraph, "_freeze_literals", checked_write)
+    for name, wrapper in (("activate", step), ("releasing", released),
+                          ("set_double", doubled), ("rechecking", rechecked)):
+        monkeypatch.setattr(ReducedSolutionGraph, name, wrapper)
     for g in _recheck_corpus():
         run_mbea(g)
-    assert checked[0] > 0
+    assert fires[0] > 0
 
 
 # ----------------------------------------------------------- odd cycle break
@@ -869,7 +869,7 @@ def _bfs_pieces(rsg, nodes, seen):
 def test_pieces_match_breadth_first_split_in_the_minimiser(monkeypatch):
     """Every split the minimiser and unfrozen_components get from _pieces,
     which walks unfrozen neighbours and takes unassigned ones as members,
-    equals a set-based split of the same unassigned nodes. ER n=2000, c=5,
+    equals a set-based split of the same unassigned nodes. ER n=2000, c=3,
     seed 7 runs its branch budget out, so a search cut short is checked
     too."""
     pieces = ReducedSolutionGraph._pieces
@@ -883,7 +883,7 @@ def test_pieces_match_breadth_first_split_in_the_minimiser(monkeypatch):
         return out
 
     monkeypatch.setattr(ReducedSolutionGraph, "_pieces", checked_pieces)
-    for cfg in [GenConfig(300, float(c), 5) for c in (2, 3, 4)] + [GenConfig(2000, 5.0, 7)]:
+    for cfg in [GenConfig(300, float(c), 5) for c in (2, 3, 4)] + [GenConfig(2000, 3.0, 7)]:
         res = run_mbea(generate_er(cfg))
         assert res.fallbacks == (cfg.n == 2000)
     assert calls.keys() == {"unfrozen_components", "min_component_assignment", "min_count"}

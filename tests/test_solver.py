@@ -149,15 +149,15 @@ def test_greedy_fallback_on_large_component_does_not_recurse():
 @pytest.mark.parametrize(
     "c, seed, fallbacks",
     [
-        # a 463-node component (cycle rank 51) runs the branch budget out on
-        # its last charge, which leaves it at -6; the whole search would
-        # charge 950,942 units
-        (5, 7, 1),
-        # a 381-node component (cycle rank 52) completes on 151,849 of the
-        # 200,000 units
-        (7, 8, 0),
-        # a 925-node component has cycle rank 207, above the cap
+        # a 489-node component (cycle rank 25) runs the branch budget out on
+        # its last charge, which leaves it at -9; the whole search would
+        # charge 202,180 units
         (3, 7, 1),
+        # a 464-node component (cycle rank 33) completes on 190,805 of the
+        # 200,000 units
+        (3, 11, 0),
+        # a 699-node component has cycle rank 82, above the cap
+        (3, 1, 1),
     ],
 )
 def test_minimiser_fallback_decisions_on_er_2000(c, seed, fallbacks):
