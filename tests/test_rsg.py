@@ -372,6 +372,29 @@ def test_rechecking_fires_only_beside_a_release_of_the_same_step(monkeypatch):
     assert fires[0] > 0
 
 
+def test_cascade_covers_a_non_root_only_beside_a_node_it_uncovers(monkeypatch):
+    """Every covered non-root node a freeze writer call freezes has a
+    neighbour the same call froze uncovered: a cascade covers a node only to
+    cover an edge it uncovered."""
+    write = ReducedSolutionGraph._freeze_literals
+    checked = [0]
+
+    def checked_write(self, lits, m):
+        nodes = write(self, lits, m)
+        uncovered = {x for x in lits if x >= 0}
+        for lit in lits:
+            x = ~lit
+            if lit < 0 and x != m:
+                assert any(w in uncovered for w in self.active_adj[x]), (self.graph, x, m)
+                checked[0] += 1
+        return nodes
+
+    monkeypatch.setattr(ReducedSolutionGraph, "_freeze_literals", checked_write)
+    for g in _recheck_corpus():
+        run_mbea(g)
+    assert checked[0] > 0
+
+
 # ----------------------------------------------------------- odd cycle break
 
 

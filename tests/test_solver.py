@@ -158,6 +158,10 @@ def test_greedy_fallback_on_large_component_does_not_recurse():
         (3, 11, 0),
         # a 699-node component has cycle rank 82, above the cap
         (3, 1, 1),
+        # once needed an exact search of a 381-node component (cycle rank
+        # 52); releases alone now trigger rechecking, and no component left
+        # has cycle rank above 5
+        (7, 8, 0),
     ],
 )
 def test_minimiser_fallback_decisions_on_er_2000(c, seed, fallbacks):
