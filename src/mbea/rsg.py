@@ -49,7 +49,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import insort
-from collections import defaultdict
 from enum import IntEnum
 
 from .graphs import Graph
@@ -115,7 +114,6 @@ class ReducedSolutionGraph:
         # active neighbours of each active node, in adjacency (ascending) order
         self.active_adj: list[list[int]] = [[] for _ in range(n)]
         self.step_touched: set[int] = set()
-        self._mark_members: defaultdict[int, set[int]] = defaultdict(set)
         # versioned scratch, reset in O(1) by bumping the tag: _close stores
         # +tag / -tag for a node it sets to +1 / -1, _pieces +tag for a node
         # it visits
@@ -190,7 +188,6 @@ class ReducedSolutionGraph:
                 state[x] = NEG_FROZEN
             mark[x] = m
             nodes.append(x)
-        self._mark_members[m].update(nodes)
         self.step_touched.update(nodes)
         return nodes
 
@@ -310,13 +307,12 @@ class ReducedSolutionGraph:
 
         The order does not matter: a release only inserts into sets.
         """
-        state, mark, members = self.state, self.mark, self._mark_members
+        state, mark = self.state, self.mark
         touched = self.step_touched
         lost = []
         for x in nodes:
             if state[x] == POS_FROZEN:
                 lost.append(x)
-            members[mark[x]].discard(x)
             state[x] = UNFROZEN
             mark[x] = NO_MARK
             touched.add(x)
@@ -366,9 +362,10 @@ class ReducedSolutionGraph:
         A cascade-frozen covered node u whose only remaining uncovered
         neighbour v belongs to the same cascade is not forced after all: the
         cascade flip carries both, so u and v form a mutual-determination.
-        Every member of u's old cascade is released, u and v too (neither is
-        pinned), except covered ones still pinned by a foreign uncovered
-        neighbour (the checking rule); then (u, v) becomes double. A foreign
+        The release is the dispatch's: release_set((u, v), mark[u]) frees u
+        and v and walks on through their cascade, where a covered member
+        still pinned by a foreign uncovered neighbour stays frozen and blocks
+        the walk (the checking rule); then (u, v) becomes double. A foreign
         uncovered neighbour must not be released this way: its own cascade
         still pins it, and unfreezing it collapses the energy level. Repeats
         until no node qualifies, scanning ascending (rank, id).
@@ -408,12 +405,7 @@ class ReducedSolutionGraph:
             v = partner(u)
             if v < 0:
                 continue
-            m = mark[u]
-            lost = self.releasing([
-                w
-                for w in self._mark_members[m]
-                if state[w] != NEG_FROZEN or not self.has_foreign_pos_neighbour(w, m)
-            ])
+            lost = self.releasing(self.release_set((u, v), mark[u]))
             self.set_double(u, v)
             push_candidates(lost)
 
@@ -928,12 +920,6 @@ class ReducedSolutionGraph:
                     raise RsgInvariantError(f"frozen node {u} has no mark")
                 if not (0 <= mark[u] < n) or not active[mark[u]]:
                     raise RsgInvariantError(f"node {u} marked by invalid node {mark[u]}")
-                if u not in self._mark_members.get(mark[u], ()):
-                    raise RsgInvariantError(f"node {u} missing from its mark's members")
-        for m, members in self._mark_members.items():
-            for u in members:
-                if mark[u] != m or m == NO_MARK:
-                    raise RsgInvariantError(f"node {u} listed under mark {m}, carries {mark[u]}")
         for u, v in self.graph.edges:
             if active[u] and active[v]:
                 if state[u] == POS_FROZEN and state[v] == POS_FROZEN:

@@ -56,8 +56,8 @@ def test_criterion_1_core_free_exactness():
     _report(1, "core-free exactness, 200 instances", started)
 
 
-# Core-free instances on which criterion 1 fails: the represented space
-# lacks 2 of the 21 (seed 3731) and 2 of the 118 (seed 1237) minimum covers.
+# Core-free instances on which criterion 1 once failed: the represented space
+# lacked 2 of the 21 (seed 3731) and 2 of the 118 (seed 1237) minimum covers.
 # The seeds lie beyond the 200 that criterion 1 checks.
 CRITERION_1_FAULT_SEEDS = (3731, 1237)
 
@@ -76,7 +76,6 @@ def test_criterion_1_fault_instances_represent_only_minimum_covers(seed):
     assert diff_spaces(mine, true).subset
 
 
-@pytest.mark.xfail(strict=True, reason="known criterion-1 fault: two minimum covers missing")
 @pytest.mark.parametrize("seed", CRITERION_1_FAULT_SEEDS)
 def test_criterion_1_fault_instances_exact(seed):
     mine, true = _core_free_spaces(seed)

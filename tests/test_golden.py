@@ -17,7 +17,7 @@ import pytest
 from mbea.graphs import GenConfig, cycle_graph, generate_er, path_graph
 from mbea.solver import CASES, run_mbea
 
-GOLDEN = "7d8b541fc1b387d2ff86403a369b8a82f7de112df3b85d5e9ff6583745aa339d"
+GOLDEN = "323e4330cdd34eb9838f1e0fbade87c973f24cc43ccf2a991a2b408341c03bd0"
 SPACE_GOLDEN = "e0b754daab726433669f698f7599818110e1f4d8937f183286c05a6251d8e178"
 
 

@@ -144,8 +144,7 @@ def test_freezing_contradicting_cascade_returns_none_and_freezes_nothing():
     rsg = all_unfrozen(g, doubles=[(1, 2)])
 
     def snapshot():
-        members = {m: set(s) for m, s in rsg._mark_members.items() if s}
-        return rsg.state[:], rsg.mark[:], members, set(rsg.step_touched)
+        return rsg.state[:], rsg.mark[:], set(rsg.step_touched)
 
     before = snapshot()
     assert rsg.freezing(0, POS_FROZEN) is None
@@ -262,10 +261,11 @@ def test_rechecking_releases_pair_and_cascade():
     assert rsg.edge_kind(0, 2) == "double"
 
 
-def test_rechecking_releases_the_whole_cascade():
-    # 0 fires against 1 once the foreign 5 is released; 2 belongs to the
-    # same cascade but no walk through cascade members reaches it; 3 is a
-    # member pinned by a foreign node 4
+def test_rechecking_releases_the_walk_from_the_pair():
+    # 0 fires against 1 once the foreign 5 is released and frees what the
+    # dispatch's walk from (0, 1) frees: 2 belongs to the same cascade but
+    # no walk through cascade members reaches it; 3 is a member pinned by a
+    # foreign node 4
     g = Graph(6, [(0, 1), (3, 4), (0, 5)])
     rsg = ReducedSolutionGraph.from_parts(
         g,
@@ -273,11 +273,12 @@ def test_rechecking_releases_the_whole_cascade():
                 4: POS_FROZEN, 5: POS_FROZEN},
         marks={0: 1, 1: 1, 2: 1, 3: 1, 4: 4, 5: 5},
     )
-    assert 2 not in rsg.release_set((0, 1), 1)
+    assert rsg.release_set((0, 1), 1) == {0, 1}
     rsg.rechecking(rsg.releasing([5]))
     assert [rsg.state[u] for u in range(6)] == [
-        UNFROZEN, UNFROZEN, UNFROZEN, NEG_FROZEN, POS_FROZEN, UNFROZEN
+        UNFROZEN, UNFROZEN, POS_FROZEN, NEG_FROZEN, POS_FROZEN, UNFROZEN
     ]
+    assert rsg.mark[2] == rsg.mark[3] == 1
     assert rsg.edge_kind(0, 1) == "double"
     rsg.validate()
 
@@ -702,13 +703,9 @@ def test_from_parts_rebuilds_a_solved_rsg(g):
         ranks=rsg.ranks,
     )
 
-    def members(r):
-        return {m: s for m, s in r._mark_members.items() if s}
-
     assert built.state == rsg.state
     assert built.mark == rsg.mark
     assert built.active_adj == rsg.active_adj
-    assert members(built) == members(rsg)
     assert [set(d) for d in built.double_adj] == [set(d) for d in rsg.double_adj]
     built.validate(deep=True)
 
@@ -1087,26 +1084,6 @@ def test_activate_keeps_active_neighbour_lists_sorted():
         rsg.activate(u)
         rsg.validate()
     assert rsg.active_adj[3] == [0, 1, 2]
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda members: members[0].discard(1),
-        lambda members: members[2].add(1),
-        lambda members: members[0].add(3),
-    ],
-    ids=["member-missing", "member-of-another-mark", "unmarked-member"],
-)
-def test_validator_rejects_stale_mark_members(corrupt):
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    rsg = ReducedSolutionGraph.from_parts(
-        g, states={0: POS_FROZEN, 1: NEG_FROZEN, 2: POS_FROZEN}, marks={0: 0, 1: 0, 2: 2}
-    )
-    rsg.validate()
-    corrupt(rsg._mark_members)
-    with pytest.raises(RsgInvariantError):
-        rsg.validate()
 
 
 @pytest.mark.parametrize(

@@ -149,14 +149,13 @@ def test_greedy_fallback_on_large_component_does_not_recurse():
 @pytest.mark.parametrize(
     "c, seed, fallbacks",
     [
-        # a 489-node component (cycle rank 25) runs the branch budget out on
-        # its last charge, which leaves it at -9; the whole search would
-        # charge 202,180 units
+        # a 499-node component (cycle rank 27) runs the branch budget out;
+        # the whole search would charge 250,118 units
         (3, 7, 1),
-        # a 464-node component (cycle rank 33) completes on 190,805 of the
-        # 200,000 units
-        (3, 11, 0),
-        # a 699-node component has cycle rank 82, above the cap
+        # a 466-node component (cycle rank 34) runs the budget out, 4% short
+        # of the 208,882 units the whole search charges
+        (3, 11, 1),
+        # a 710-node component has cycle rank 85, above the cap
         (3, 1, 1),
         # once needed an exact search of a 381-node component (cycle rank
         # 52); releases alone now trigger rechecking, and no component left
@@ -166,7 +165,8 @@ def test_greedy_fallback_on_large_component_does_not_recurse():
 )
 def test_minimiser_fallback_decisions_on_er_2000(c, seed, fallbacks):
     """The components the first-assignment fallback minimises: exact
-    searches that finish just inside or just outside the branch budget."""
+    searches that stop just outside the branch budget, a cycle rank above
+    the cap, and no fallback where only small cycle ranks are left."""
     res = run_mbea(generate_er(GenConfig(2000, float(c), seed)))
     assert res.fallbacks == fallbacks
 
