@@ -19,6 +19,7 @@ import pytest
 from mbea.graphs import GenConfig, generate_er
 from mbea.leaf_removal import leaf_removal_ranks
 from mbea.oracle import enumerate_min_covers
+from mbea.solver import run_mbea
 
 from core_free_reference import CoreFreeCovers, pendant_matching
 
@@ -52,6 +53,25 @@ def test_reference_equals_the_oracle_on_small_core_free_graphs():
 def test_reference_refuses_a_graph_with_a_core():
     with pytest.raises(ValueError):
         CoreFreeCovers(3, [(0, 1), (1, 2), (0, 2)])
+
+
+# the two n=24 instances test_acceptance pins as once-faulty, with the
+# free-node freezes the solver made there before the fault was mended
+_SMALL_FAULTS = {1237: {9: -1, 18: 1}, 3731: {11: 1, 12: -1}}
+
+
+@pytest.mark.parametrize("seed", sorted(_SMALL_FAULTS))
+def test_reference_flags_the_known_small_faults(seed):
+    g = generate_er(GenConfig(24, 2.0, seed))
+    ref = CoreFreeCovers(g.n, g.edges)
+    assert _faults(g).ok
+    res = run_mbea(g)
+    frozen = [_scan._SPIN[s] for s in res.rsg.state]
+    for u, spin in _SMALL_FAULTS[seed].items():
+        frozen[u] = spin
+    faults = ref.faults(frozen, [], res.cover_size)
+    assert faults.falsely_frozen == tuple(sorted(_SMALL_FAULTS[seed]))
+    assert not faults.missed_backbones and faults.excess == 0
 
 
 def test_reference_flags_the_known_fault():
