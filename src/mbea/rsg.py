@@ -13,6 +13,9 @@ Frozen nodes carry a mark, the root of the cascade that froze them. Two verbs
 change the structure: freezing(i, state) roots a cascade at i (a backbone) and
 freezes what it forces; releasing(nodes) unfreezes the nodes release_set picks
 by mark, sparing covered ones a foreign uncovered neighbour pins (checking rule).
+After a release, rechecking frees each covered node whose only uncovered
+neighbour is its double partner, together with that partner: the pair rule
+reads the double edge, not the marks.
 
 Spin propagation implements the two rules as implications between literals,
 x for x = +1 and ~x for x = -1 (the implications of a 2-CNF):
@@ -357,18 +360,18 @@ class ReducedSolutionGraph:
         return self._close((i,), virt=released) is None
 
     def rechecking(self, lost) -> None:
-        """Release covered backbones that lost all but one uncovered neighbour.
+        """Release covered backbones whose only uncovered neighbour is their
+        double partner.
 
-        A cascade-frozen covered node u whose only remaining uncovered
-        neighbour v belongs to the same cascade is not forced after all: the
-        cascade flip carries both, so u and v form a mutual-determination.
-        The release is the dispatch's: release_set((u, v), mark[u]) frees u
-        and v and walks on through their cascade, where a covered member
-        still pinned by a foreign uncovered neighbour stays frozen and blocks
-        the walk (the checking rule); then (u, v) becomes double. A foreign
-        uncovered neighbour must not be released this way: its own cascade
-        still pins it, and unfreezing it collapses the energy level. Repeats
-        until no node qualifies, scanning ascending (rank, id).
+        A covered node u whose one remaining uncovered neighbour v is its
+        double partner is not forced after all: +v implies -u over the edge,
+        -u implies +v over the double edge, and nothing else pins u. So u
+        and v are a free pair, whatever their marks. The release is the
+        dispatch's: release_set((u, v), mark[u]) frees both and walks on
+        through u's cascade, where a covered member still pinned by a
+        foreign uncovered neighbour stays frozen and blocks the walk (the
+        checking rule). Repeats until no node qualifies, scanning ascending
+        (rank, id).
 
         Only releasing removes an uncovered neighbour (freezing adds them,
         activate adds an unfrozen node), so the candidates are the covered
@@ -376,14 +379,12 @@ class ReducedSolutionGraph:
         then of the nodes each fire's own release unfroze from uncovered.
         """
         rank, n = self.ranks.rank, self.graph.n
-        state, mark, aadj = self.state, self.mark, self.active_adj
+        state, aadj, dadj = self.state, self.active_adj, self.double_adj
         heap: list[int] = []
 
         def partner(u: int) -> int:
-            # u's one uncovered neighbour when u may fire, else -1; self-rooted
-            # backbones are not cascade members
-            m = mark[u]
-            if state[u] != NEG_FROZEN or m == u:
+            # u's one uncovered neighbour when it is u's double partner, else -1
+            if state[u] != NEG_FROZEN:
                 return -1
             v = -1
             for w in aadj[u]:
@@ -391,7 +392,7 @@ class ReducedSolutionGraph:
                     if v >= 0:
                         return -1
                     v = w
-            return v if v >= 0 and mark[v] == m else -1
+            return v if v >= 0 and v in dadj[u] else -1
 
         def push_candidates(nodes) -> None:
             # integer keys rank*n + id pop in ascending (rank, id) order
@@ -403,11 +404,8 @@ class ReducedSolutionGraph:
         while heap:
             u = heapq.heappop(heap) % n
             v = partner(u)
-            if v < 0:
-                continue
-            lost = self.releasing(self.release_set((u, v), mark[u]))
-            self.set_double(u, v)
-            push_candidates(lost)
+            if v >= 0:
+                push_candidates(self.releasing(self.release_set((u, v), self.mark[u])))
 
     # --------------------------------------------------------- odd-cycle break
 
@@ -484,19 +482,19 @@ class ReducedSolutionGraph:
            the cascade that freezes x follows the contrapositive of any cone
            through x, so it freezes that cone's root too.
         2. A case A or E step, rechecking included, releases nodes R and adds
-           double edges among R and the new node i. Let S be the literals
-           that give each released node its old frozen value, plus -i. S is
-           closed under implication, up to the values of nodes that stay
-           frozen: each neighbour of an old POS node r was NEG-frozen or is
-           i, so +r implies only -x for such x; each partner of an old NEG
-           node r was POS-frozen, so -r implies only +x for such x; and -i
-           implies +p for its partner p, an old POS node. So closing S
-           reaches no untouched unfrozen node and clashes with no node still
-           frozen. An untouched
-           unfrozen literal enters the touched region only through +y => -x
-           with x old-NEG or x = i, that is only into S; entering through an
-           old-POS x would have failed before the step. Its closure is its
-           old conflict-free part plus a subset of S, so it cannot fail.
+           only the double edge (i, p). Let S be the literals that give each
+           released node its old frozen value, plus -i. S is closed under
+           implication, up to the values of nodes that stay frozen: each
+           neighbour of an old POS node r was NEG-frozen or is i, so +r
+           implies only -x for such x; each partner of an old NEG node r was
+           POS-frozen, so -r implies only +x for such x; and -i implies +p
+           for its partner p, an old POS node. So closing S reaches no
+           untouched unfrozen node and clashes with no node still frozen. An
+           untouched unfrozen literal enters the touched region only
+           through +y => -x with x old-NEG or x = i, that is only into S;
+           entering through an old-POS x would have failed before the step.
+           Its closure is its old conflict-free part plus a subset of S, so
+           it cannot fail.
         3. The slack rule's double edge (u, w), w being u's only unfrozen
            neighbour, adds -u => +w and -w => +u. Apart from -u itself, a
            closure holding -u holds +w, the only unfrozen literal implying
@@ -732,8 +730,8 @@ class ReducedSolutionGraph:
         exhausts _WORK_BUDGET (charged len(piece) per cyclic piece branched,
         before its branches), fall back to the first satisfying assignment
         and count in self.fallbacks; minimality is then heuristic. On ER
-        n=2000, c=1..10, seeds 1-8, it fired on 7 of the 80 graphs (c=2 and
-        3), 6 of them by budget.
+        n=2000, c=1..10, seeds 1-8, it fired on 6 of the 80 graphs (c=2 and
+        3), 5 of them by budget.
         """
         nbrs = self._unfrozen_nbrs(comp)
         degrees = sum(map(len, nbrs.values()))

@@ -55,6 +55,20 @@ def test_reference_refuses_a_graph_with_a_core():
         CoreFreeCovers(3, [(0, 1), (1, 2), (0, 2)])
 
 
+def _flag_hand_freezes(g, freezes):
+    """The reference's verdict on the solver's space for g with the free
+    nodes in freezes (node: spin) frozen by hand, as a faulty solver did."""
+    ref = CoreFreeCovers(g.n, g.edges)
+    assert _faults(g).ok
+    res = run_mbea(g)
+    frozen = [_scan._SPIN[s] for s in res.rsg.state]
+    for u, spin in freezes.items():
+        frozen[u] = spin
+    faults = ref.faults(frozen, [], res.cover_size)
+    assert faults.falsely_frozen == tuple(sorted(freezes))
+    assert not faults.missed_backbones and faults.excess == 0
+
+
 # the two n=24 instances test_acceptance pins as once-faulty, with the
 # free-node freezes the solver made there before the fault was mended
 _SMALL_FAULTS = {1237: {9: -1, 18: 1}, 3731: {11: 1, 12: -1}}
@@ -62,42 +76,29 @@ _SMALL_FAULTS = {1237: {9: -1, 18: 1}, 3731: {11: 1, 12: -1}}
 
 @pytest.mark.parametrize("seed", sorted(_SMALL_FAULTS))
 def test_reference_flags_the_known_small_faults(seed):
-    g = generate_er(GenConfig(24, 2.0, seed))
-    ref = CoreFreeCovers(g.n, g.edges)
-    assert _faults(g).ok
-    res = run_mbea(g)
-    frozen = [_scan._SPIN[s] for s in res.rsg.state]
-    for u, spin in _SMALL_FAULTS[seed].items():
-        frozen[u] = spin
-    faults = ref.faults(frozen, [], res.cover_size)
-    assert faults.falsely_frozen == tuple(sorted(_SMALL_FAULTS[seed]))
-    assert not faults.missed_backbones and faults.excess == 0
+    _flag_hand_freezes(generate_er(GenConfig(24, 2.0, seed)), _SMALL_FAULTS[seed])
 
 
 def test_reference_flags_the_known_fault():
-    # a core-free instance pinned below as a criterion-1 fault
-    faults = _faults(generate_er(GenConfig(2000, 2.5, 14)))
-    assert faults.falsely_frozen and not faults.missed_backbones
-    assert not faults.wrong_doubles and faults.excess == 0
+    # n=2000, c=2.5, seed 14, with the 22 free nodes the solver froze there
+    # before rechecking freed every covered node paired with its one
+    # uncovered neighbour by a double edge
+    freezes = dict.fromkeys((21, 705, 708, 879, 900, 1013, 1057, 1143, 1307, 1352, 1556), 1)
+    freezes.update(dict.fromkeys(
+        (411, 511, 573, 930, 1049, 1059, 1206, 1520, 1534, 1581, 1863), -1
+    ))
+    _flag_hand_freezes(generate_er(GenConfig(2000, 2.5, 14)), freezes)
 
 
-# core-free ER n=2000 graphs, seeds 1-12 (the others have a core), and the
-# two faulty seeds that criterion1_scan.py finds among c=2.5 seeds 1-100
+# core-free ER n=2000 graphs: seeds 1-12 (the others have a core), and the
+# c=2.5 seeds criterion1_scan.py once found faulty among seeds 1-300
 _CLEAN = [(1.5, s) for s in (1, 3, 4, 5, 7, 8, 9, 10, 11, 12)]
 _CLEAN += [(2.0, s) for s in (1, 2, 4, 5, 6, 8, 9, 10)]
-_CLEAN += [(2.5, s) for s in (1, 2, 3, 6, 9)]
-_FAULTY = [(2.5, 14), (2.5, 81)]
-_KNOWN_FAULT = pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="known criterion-1 fault: falsely frozen nodes"
-)
+_CLEAN += [(2.5, s) for s in (1, 2, 3, 6, 9, 14, 81, 157, 158, 187, 209, 245)]
 
 
-@pytest.mark.parametrize(
-    "c, seed", _CLEAN + [pytest.param(c, s, marks=_KNOWN_FAULT) for c, s in _FAULTY]
-)
+@pytest.mark.parametrize("c, seed", _CLEAN)
 def test_represented_space_is_exact_on_core_free_er_2000(c, seed):
-    # CoreFreeCovers raises ValueError on a graph with a core, which the
-    # xfail marker does not accept
     faults = _faults(generate_er(GenConfig(2000, c, seed)))
     assert faults.ok, faults
 
@@ -107,4 +108,4 @@ def test_scan_script_reports_the_faulty_seeds():
         [sys.executable, str(_SCRIPT), "--n", "2000", "--c", "2.5", "--seeds", "13-14"],
         capture_output=True, text=True, check=True,
     ).stdout
-    assert "n=2000 c=2.5: 1/2 core-free graphs faulty, 22 falsely frozen nodes; seeds [14]" in out
+    assert "n=2000 c=2.5: 0/2 core-free graphs faulty, 0 falsely frozen nodes; seeds []" in out

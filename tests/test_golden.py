@@ -17,7 +17,7 @@ import pytest
 from mbea.graphs import GenConfig, cycle_graph, generate_er, path_graph
 from mbea.solver import CASES, run_mbea
 
-GOLDEN = "323e4330cdd34eb9838f1e0fbade87c973f24cc43ccf2a991a2b408341c03bd0"
+GOLDEN = "26f7279f4c0fd99972f9d899eda32ddf04808ade8a29b153f83b39c82ea83ca6"
 SPACE_GOLDEN = "e0b754daab726433669f698f7599818110e1f4d8937f183286c05a6251d8e178"
 
 

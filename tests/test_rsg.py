@@ -246,13 +246,14 @@ def test_rechecking_two_foreign_pins_unchanged():
 
 def test_rechecking_releases_pair_and_cascade():
     # 0 covered by cascade 2 loses the foreign uncovered neighbour 3, so its
-    # only uncovered neighbour 2 shares the mark; 1 is a further member of
-    # the same cascade
+    # only uncovered neighbour is its double partner 2; 1 is a further
+    # member of the same cascade
     g = Graph(4, [(0, 2), (1, 2), (0, 3)])
     rsg = ReducedSolutionGraph.from_parts(
         g,
         states={0: NEG_FROZEN, 1: NEG_FROZEN, 2: POS_FROZEN, 3: POS_FROZEN},
         marks={0: 2, 1: 2, 2: 2, 3: 3},
+        doubles=[(0, 2)],
     )
     rsg.rechecking(rsg.releasing([3]))
     assert rsg.state[0] == UNFROZEN
@@ -262,16 +263,17 @@ def test_rechecking_releases_pair_and_cascade():
 
 
 def test_rechecking_releases_the_walk_from_the_pair():
-    # 0 fires against 1 once the foreign 5 is released and frees what the
-    # dispatch's walk from (0, 1) frees: 2 belongs to the same cascade but
-    # no walk through cascade members reaches it; 3 is a member pinned by a
-    # foreign node 4
+    # 0 fires against its double partner 1 once the foreign 5 is released
+    # and frees what the dispatch's walk from (0, 1) frees: 2 belongs to the
+    # same cascade but no walk through cascade members reaches it; 3 is a
+    # member pinned by a foreign node 4
     g = Graph(6, [(0, 1), (3, 4), (0, 5)])
     rsg = ReducedSolutionGraph.from_parts(
         g,
         states={0: NEG_FROZEN, 1: POS_FROZEN, 2: POS_FROZEN, 3: NEG_FROZEN,
                 4: POS_FROZEN, 5: POS_FROZEN},
         marks={0: 1, 1: 1, 2: 1, 3: 1, 4: 4, 5: 5},
+        doubles=[(0, 1)],
     )
     assert rsg.release_set((0, 1), 1) == {0, 1}
     rsg.rechecking(rsg.releasing([5]))
@@ -306,7 +308,7 @@ def test_case_e_releases_union_of_entry_walks():
 
 def test_rechecking_skips_foreign_pair():
     # after the release of 2 the only uncovered neighbour belongs to a
-    # different cascade: no release
+    # different cascade and is no double partner: no release
     g = Graph(3, [(0, 1), (0, 2)])
     rsg = ReducedSolutionGraph.from_parts(
         g, states={0: NEG_FROZEN, 1: POS_FROZEN, 2: POS_FROZEN}, marks={0: 5, 1: 1, 2: 2}
@@ -314,6 +316,38 @@ def test_rechecking_skips_foreign_pair():
     rsg.rechecking(rsg.releasing([2]))
     assert rsg.state[0] == NEG_FROZEN
     assert rsg.state[1] == POS_FROZEN
+
+
+def test_rechecking_keeps_a_same_mark_neighbour_without_double_edge():
+    # 0 covered by cascade 2 loses the foreign 3; its only uncovered
+    # neighbour 2 carries its mark but is no double partner, so +2 => -0
+    # holds while -0 implies nothing: no release
+    g = Graph(4, [(0, 2), (1, 2), (0, 3)])
+    rsg = ReducedSolutionGraph.from_parts(
+        g,
+        states={0: NEG_FROZEN, 1: NEG_FROZEN, 2: POS_FROZEN, 3: POS_FROZEN},
+        marks={0: 2, 1: 2, 2: 2, 3: 3},
+    )
+    rsg.rechecking(rsg.releasing([3]))
+    assert [rsg.state[u] for u in range(3)] == [NEG_FROZEN, NEG_FROZEN, POS_FROZEN]
+    assert rsg.edge_kind(0, 2) == "plain"
+
+
+def test_rechecking_releases_a_double_pair_across_marks():
+    # the pair rule reads no mark: 0, covered by cascade 4, keeps only its
+    # double partner 1, a self-rooted uncovered node, once 2 is released;
+    # the walk from (0, 1) runs through cascade 4 and frees 3 and 4
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    rsg = ReducedSolutionGraph.from_parts(
+        g,
+        states={0: NEG_FROZEN, 1: POS_FROZEN, 2: POS_FROZEN, 3: NEG_FROZEN,
+                4: POS_FROZEN},
+        marks={0: 4, 1: 1, 2: 2, 3: 4, 4: 4},
+        doubles=[(0, 1)],
+    )
+    rsg.rechecking(rsg.releasing([2]))
+    assert [rsg.state[u] for u in range(5)] == [UNFROZEN] * 5
+    rsg.validate()
 
 
 def _recheck_corpus():
@@ -324,49 +358,48 @@ def _recheck_corpus():
 
 
 def test_rechecking_fires_only_beside_a_release_of_the_same_step(monkeypatch):
-    """The rechecking rule is about a loss: a fire makes (u, v) double only
-    for a covered u that lost an uncovered neighbour to a release earlier in
-    the same step, and after each rechecking no eligible node (covered,
-    marked by another root, with one uncovered neighbour that carries the
-    same mark) borders a node released uncovered in that step."""
+    """The rechecking rule is about a loss: a fire releases the pair (u, v)
+    only for a covered u that lost an uncovered neighbour to a release
+    earlier in the same step, and after each rechecking no eligible node
+    (covered, whose one uncovered neighbour is its double partner) borders
+    a node released uncovered in that step."""
     activate = ReducedSolutionGraph.activate
     release = ReducedSolutionGraph.releasing
-    double = ReducedSolutionGraph.set_double
+    walk = ReducedSolutionGraph.release_set
     recheck = ReducedSolutionGraph.rechecking
-    # nodes released uncovered this step, and before the latest release
-    lost, before = set(), [set()]
+    lost = set()  # nodes released uncovered this step
     inside, fires = [False], [0]
 
     def step(self, i):
         lost.clear()
-        before[0] = set()
         activate(self, i)
 
     def released(self, nodes):
-        before[0] = set(lost)
         lost.update(x for x in nodes if self.state[x] == POS_FROZEN)
         return release(self, nodes)
 
-    def doubled(self, u, v):
-        if inside[0]:  # a fire: u is the covered node, freed by its own release
-            assert any(w in before[0] for w in self.active_adj[u]), (self.graph, u, v)
+    def walked(self, entries, root_mark):
+        if inside[0]:  # a fire: u is the covered node, v its double partner
+            u, v = entries
+            assert v in self.double_adj[u], (self.graph, u, v)
+            assert any(w in lost for w in self.active_adj[u]), (self.graph, u, v)
             fires[0] += 1
-        double(self, u, v)
+        return walk(self, entries, root_mark)
 
     def rechecked(self, lost_now):
         inside[0] = True
         recheck(self, lost_now)
         inside[0] = False
-        state, mark, aadj = self.state, self.mark, self.active_adj
+        state, aadj, dadj = self.state, self.active_adj, self.double_adj
         for u in range(self.graph.n):
-            if state[u] != NEG_FROZEN or mark[u] == u:
+            if state[u] != NEG_FROZEN:
                 continue
             uncovered = [w for w in aadj[u] if state[w] == POS_FROZEN]
-            if len(uncovered) == 1 and mark[uncovered[0]] == mark[u]:
+            if len(uncovered) == 1 and uncovered[0] in dadj[u]:
                 assert not any(w in lost for w in aadj[u]), (self.graph, u)
 
     for name, wrapper in (("activate", step), ("releasing", released),
-                          ("set_double", doubled), ("rechecking", rechecked)):
+                          ("release_set", walked), ("rechecking", rechecked)):
         monkeypatch.setattr(ReducedSolutionGraph, name, wrapper)
     for g in _recheck_corpus():
         run_mbea(g)
@@ -890,7 +923,7 @@ def test_pieces_match_breadth_first_split_in_the_minimiser(monkeypatch):
     """Every split the minimiser and unfrozen_components get from _pieces,
     which walks unfrozen neighbours and takes unassigned ones as members,
     equals a set-based split of the same unassigned nodes. ER n=2000, c=3,
-    seed 7 runs its branch budget out, so a search cut short is checked
+    seed 8 runs its branch budget out, so a search cut short is checked
     too."""
     pieces = ReducedSolutionGraph._pieces
     calls = {}
@@ -903,7 +936,7 @@ def test_pieces_match_breadth_first_split_in_the_minimiser(monkeypatch):
         return out
 
     monkeypatch.setattr(ReducedSolutionGraph, "_pieces", checked_pieces)
-    for cfg in [GenConfig(300, float(c), 5) for c in (2, 3, 4)] + [GenConfig(2000, 3.0, 7)]:
+    for cfg in [GenConfig(300, float(c), 5) for c in (2, 3, 4)] + [GenConfig(2000, 3.0, 8)]:
         res = run_mbea(generate_er(cfg))
         assert res.fallbacks == (cfg.n == 2000)
     assert calls.keys() == {"unfrozen_components", "min_component_assignment", "min_count"}

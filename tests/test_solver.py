@@ -149,24 +149,20 @@ def test_greedy_fallback_on_large_component_does_not_recurse():
 @pytest.mark.parametrize(
     "c, seed, fallbacks",
     [
-        # a 499-node component (cycle rank 27) runs the branch budget out;
-        # the whole search would charge 250,118 units
-        (3, 7, 1),
-        # a 466-node component (cycle rank 34) runs the budget out, 4% short
-        # of the 208,882 units the whole search charges
-        (3, 11, 1),
-        # a 710-node component has cycle rank 85, above the cap
+        # a 430-node component (cycle rank 45) runs the branch budget out;
+        # the whole search would charge 854,772 units
+        (3, 8, 1),
+        # a 672-node component has cycle rank 66, above the cap
         (3, 1, 1),
         # once needed an exact search of a 381-node component (cycle rank
-        # 52); releases alone now trigger rechecking, and no component left
-        # has cycle rank above 5
+        # 52); no component left has cycle rank above 1
         (7, 8, 0),
     ],
 )
 def test_minimiser_fallback_decisions_on_er_2000(c, seed, fallbacks):
-    """The components the first-assignment fallback minimises: exact
-    searches that stop just outside the branch budget, a cycle rank above
-    the cap, and no fallback where only small cycle ranks are left."""
+    """The components the first-assignment fallback minimises: an exact
+    search that runs the branch budget out, a cycle rank above the cap, and
+    no fallback where only small cycle ranks are left."""
     res = run_mbea(generate_er(GenConfig(2000, float(c), seed)))
     assert res.fallbacks == fallbacks
 
